@@ -2,7 +2,9 @@
 
 Output contract: a single JSON document (schema 1) on stdout, CSV
 artifacts to files named by flags, logs to stderr.  Exit codes: 0 all
-checks PASS, 1 some FAIL, 2 INCONCLUSIVE, 64 usage error.
+checks PASS, 1 some FAIL, 2 INCONCLUSIVE (a numerical failure in the
+library is reported as an INCONCLUSIVE verdict carrying the reason), 64
+usage error.
 """
 
 from __future__ import annotations
@@ -108,8 +110,6 @@ def _family(args) -> FamilyParams:
 def build_parser() -> _Parser:
     fmt = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
     p = _Parser(prog="hcmlab", description=__doc__, **fmt)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (reserved; the numerics are vectorized in-process)")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     q = sub.add_parser("cm-check", help="complete-monotonicity check of f_(alpha,t)", **fmt)
@@ -307,6 +307,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_USAGE
+    except RuntimeError as exc:  # ConvergenceError and other numerical failures
+        report.add("numerical_failure", Verdict(INCONCLUSIVE, getattr(args, "tol", 0.0),
+                                                detail=f"{type(exc).__name__}: {exc}"))
     report.wall_time = time.perf_counter() - start
     return report.emit()
 

@@ -7,8 +7,11 @@ Inverse direction, for f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
 * ``bromwich_invert`` integrates e^{lam z} f(z) along a vertical line
   Re z = c.  Conjugate symmetry folds the line onto y >= 0, and one
   integration by parts trades f for f', whose |y|^{-2t-1} decay makes the
-  folded integral absolutely convergent for every t > 0.  The oscillatory
-  tail is summed over half-period panels with Euler-type acceleration.
+  folded integral absolutely convergent for every t > 0.  The head runs
+  on the vectorized adaptive Gauss-Kronrod panel rule, starting from the
+  half periods of e^{i lam y}; the oscillatory tail is summed over further
+  half-period panels with Euler-type acceleration.  Both hand f' whole
+  node arrays, so no scalar integrand is called per node.
 
 * ``branch_cut_invert`` uses the real-axis representation obtained by
   collapsing the contour onto the negative axis (valid while the
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (DEFAULT_QUAD, QuadratureSpec, oscillatory_tail,
-                         quad_checked)
+from .quadrature import (DEFAULT_QUAD, ConvergenceError, QuadratureSpec,
+                         gauss_kronrod_panels, oscillatory_tail, quad_checked)
 from .specfun import FamilyParams, f_family_prime, p_alpha, pole_locations
 
 __all__ = [
@@ -106,9 +109,14 @@ def bromwich_invert(p: FamilyParams, lam: float, c: float | None = None,
                     return_err: bool = False):
     """Inverse Laplace transform of f at lam > 0 along the line Re z = c.
 
-    With c = None the abscissa is chosen by ``default_abscissa``.  Raises
-    ValueError if the line does not clear the poles of the continuation,
-    ConvergenceError if the head quadrature fails.
+    The head [0, y0] is integrated by ``gauss_kronrod_panels`` on the m
+    half-period panels of e^{i lam y} that end at y0, each pass one
+    vectorized f' call; the tail by ``oscillatory_tail``.  With c = None the
+    abscissa is chosen by ``default_abscissa``.  Raises ValueError if the
+    line does not clear the poles of the continuation, ConvergenceError if
+    the head rule exhausts its bisection budget (``spec.max_subdivisions``)
+    or e^{lam c} overflows.  With ``return_err`` returns (g, err), err being
+    the head and tail estimates scaled by e^{lam c}/(pi lam).
     """
     if p.t <= 0.0:
         raise ValueError("bromwich_invert requires t > 0")
@@ -123,20 +131,20 @@ def bromwich_invert(p: FamilyParams, lam: float, c: float | None = None,
         if c <= sigma:
             raise ValueError(f"pole on or right of the line: Re pole = {sigma}, c = {c}")
 
+    try:
+        amp = math.exp(lam * c) / (math.pi * lam)
+    except OverflowError:
+        raise ConvergenceError(f"e^(lam c) overflows at lam c = {lam * c:.6g}") from None
+
     def phi(y):
         return f_family_prime(c + 1j * np.asarray(y, dtype=float), p)
 
-    # head [0, Y0], Y0 a panel edge past the region where f' has structure
+    # head [0, Y0] on m half-period panels, Y0 past the region where f' has structure
     m = max(1, int(math.ceil(4.0 * lam / math.pi)))
     y0 = m * math.pi / lam
-
-    def head_integrand(y):
-        v = f_family_prime(c + 1j * y, p)
-        return math.cos(lam * y) * v.real - math.sin(lam * y) * v.imag
-
-    head, head_err = quad_checked(head_integrand, 0.0, y0, spec)
+    head, head_err = gauss_kronrod_panels(lambda y: (phi(y) * np.exp(1j * lam * y)).real,
+                                          np.linspace(0.0, y0, m + 1), spec)
     tail, tail_err = oscillatory_tail(phi, lam, y0)
-    amp = math.exp(lam * c) / (math.pi * lam)
     g = -amp * (head + tail.real)
     err = amp * (head_err + tail_err)
     if return_err:
@@ -179,30 +187,39 @@ def kernel_sign_change(p: FamilyParams):
 
 
 def branch_cut_invert(lam: float, p: FamilyParams,
-                      spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """-(1/pi) int_0^inf kernel(x) e^{-lam x} dx; equals bromwich_invert."""
+                      spec: QuadratureSpec = DEFAULT_QUAD, return_err: bool = False):
+    """-(1/pi) int_0^inf kernel(x) e^{-lam x} dx; equals bromwich_invert.
+
+    With ``return_err`` returns (g, err), err being the quadrature's own
+    error estimate scaled by 1/pi.
+    """
     _require_cut_regime(p)
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
     if lam == 0.0:
-        return -kernel_total_integral(p, spec) / math.pi
-    upper = max(60.0 / lam, 10.0)
-    x0 = kernel_sign_change(p)
-    pts = sorted(x for x in (x0, 1.0) if x is not None and 0.0 < x < upper)
-    val, _ = quad_checked(lambda x: branch_cut_kernel(x, p) * math.exp(-lam * x),
-                          0.0, upper, spec, points=pts or None)
+        val, err = kernel_total_integral(p, spec, return_err=True)
+    else:
+        upper = max(60.0 / lam, 10.0)
+        x0 = kernel_sign_change(p)
+        pts = sorted(x for x in (x0, 1.0) if x is not None and 0.0 < x < upper)
+        val, err = quad_checked(lambda x: branch_cut_kernel(x, p) * math.exp(-lam * x),
+                                0.0, upper, spec, points=pts or None)
+    if return_err:
+        return -val / math.pi, err / math.pi
     return -val / math.pi
 
 
 def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
-                          head_upper: float | None = None) -> float:
+                          head_upper: float | None = None, return_err: bool = False):
     """int_0^inf kernel(x) dx, which the contour argument forces to be 0.
 
     Integrable only when t > 1/2 (the tail decays like x^{-2t}).  The
     head is done by adaptive quadrature split at the sign change; the
     algebraic tail is summed exactly from the expansion
     1/P(zeta) = sum_n U_n(-cos pi a) zeta^{-n-2} in Chebyshev polynomials
-    of the second kind, term-integrated from the cutoff.
+    of the second kind, term-integrated from the cutoff.  With
+    ``return_err`` returns (value, err): the head's quadrature estimate plus
+    the series envelope at truncation.
     """
     _require_cut_regime(p)
     if p.t <= 0.5:
@@ -210,8 +227,8 @@ def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
     x0 = kernel_sign_change(p)
     upper = head_upper if head_upper is not None else max(20.0, 2.0 * (x0 or 1.0))
     pts = sorted(x for x in (x0, 1.0) if x is not None and 0.0 < x < upper)
-    head, _ = quad_checked(lambda x: branch_cut_kernel(x, p), 0.0, upper, spec,
-                           points=pts or None)
+    head, head_err = quad_checked(lambda x: branch_cut_kernel(x, p), 0.0, upper, spec,
+                                  points=pts or None)
 
     # tail: -sum_n U_n(-c) sin((n+2) t pi) X^{1-(n+2)t} / ((n+2)t - 1)
     c = p.cos_pi_alpha
@@ -229,6 +246,8 @@ def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
         if envelope < spec.truncation_threshold * max(1.0, abs(tail)):
             break
         u_prev, u_cur = u_cur, -2.0 * c * u_cur - u_prev
+    if return_err:
+        return head + tail, head_err + envelope
     return head + tail
 
 
@@ -254,9 +273,9 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
                 cross_check: bool = True) -> InversionResult:
     """Evaluate the inverse transform on a grid and report an error estimate.
 
-    est_error is the maximum of the per-point quadrature estimates and,
-    for the Bromwich route, an abscissa-sensitivity probe |g_c - g_{1.3c}|
-    at the grid ends.
+    est_error is the maximum of the per-point quadrature estimates (both
+    numerical routes) and, for the Bromwich route, an abscissa-sensitivity
+    probe |g_c - g_{1.3c}| at the grid ends.
     """
     lam = np.asarray(lambdas, dtype=float)
     if method == "closed_form":
@@ -265,8 +284,8 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
         vals = np.array([closed_form_inverse_t1(x, p.alpha) for x in lam])
         return InversionResult(lam, vals, "closed_form", 0.0)
     if method == "branch_cut":
-        vals = np.array([branch_cut_invert(x, p, spec) for x in lam])
-        return InversionResult(lam, vals, "branch_cut", spec.abs_tol)
+        vals, errs = np.array([branch_cut_invert(x, p, spec, return_err=True) for x in lam]).T
+        return InversionResult(lam, vals, "branch_cut", float(np.max(errs)))
     if method != "bromwich":
         raise ValueError(f"unknown method {method!r}")
     vals = np.empty_like(lam)

@@ -119,26 +119,34 @@ def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
                           spec: QuadratureSpec = DEFAULT_QUAD) -> Verdict:
     """CM test through Bernstein: g = L^{-1} f must be nonnegative.
 
-    PASS if g >= -tol * max(1, ||g||_inf) on the grid, FAIL with the most
-    negative (lambda, g) otherwise.  Inversion trouble maps to
-    INCONCLUSIVE.
+    With thr = tol * max(1, ||g||_inf), PASS if g - err >= -thr on the
+    whole grid, FAIL with the most negative (lambda, g) if there
+    g + err < -thr, err being the inversion's own error estimate.
+    Anything else (at large lambda the e^{lam c} factor can leave no
+    digits) and inversion trouble map to INCONCLUSIVE.
     """
     if lambda_grid is None:
         lambda_grid = ScanGrid(0.05, 50.0, 40)
     lams = lambda_grid.points()
     try:
-        gs = np.array([bromwich_invert(p, x, spec=spec) for x in lams])
+        gs, errs = np.array([bromwich_invert(p, x, spec=spec, return_err=True)
+                             for x in lams]).T
     except (ConvergenceError, ValueError) as exc:
         return Verdict(INCONCLUSIVE, tol, detail=f"inversion failed: {exc}")
     thr = tol * max(1.0, float(np.max(np.abs(gs))))
     i = int(np.argmin(gs))
     witness = (float(lams[i]), float(gs[i]))
-    if gs[i] >= -thr:
+    if np.all(gs - errs >= -thr):
         return Verdict(PASS, tol, witness=witness, detail=(
             f"min g = {gs[i]:.3e} >= -{thr:.1e} on {lambda_grid}; "
             "evidence at this resolution, not a proof"))
-    return Verdict(FAIL, tol, witness=witness,
-                   detail=f"g({lams[i]:.6g}) = {gs[i]:.6e} < -{thr:.1e}")
+    if gs[i] + errs[i] < -thr:
+        return Verdict(FAIL, tol, witness=witness,
+                       detail=f"g({lams[i]:.6g}) = {gs[i]:.6e} < -{thr:.1e}")
+    j = int(np.argmin(gs - errs))
+    return Verdict(INCONCLUSIVE, tol, detail=(
+        f"g({lams[j]:.6g}) = {gs[j]:.3e} +- {errs[j]:.1e} (inversion error "
+        f"estimate) does not clear -{thr:.1e} either way"))
 
 
 # --------------------------------------------------------------------------

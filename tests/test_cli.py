@@ -33,6 +33,19 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "cm-check", "--alpha", "0.3", "--t", "0.5", "--bogus")
         assert code == EX_USAGE
 
+    def test_threads_flag_is_gone(self, capsys):
+        code, _ = run_cli(capsys, "--threads", "2", "cm-check", "--alpha", "0.3", "--t", "0.5")
+        assert code == EX_USAGE
+
+    def test_numerical_failure_is_inconclusive(self, capsys):
+        # the sqrt-gamma CDF table loses mass for tiny shapes and raises RuntimeError
+        code, rep = run_cli(capsys, "mc-verify", "--check", "sqrt-gamma",
+                            "--t", "0.05", "--s", "0.05")
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["status"] == "INCONCLUSIVE"
+        assert "RuntimeError" in verdict["detail"] and "CDF table mass" in verdict["detail"]
+
     def test_help_lists_flags_with_defaults(self, capsys):
         for cmd in ("cm-check", "hcm-check", "pick-scan", "critical-t", "mc-verify", "invert"):
             assert main([cmd, "--help"]) == 0

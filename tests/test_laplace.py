@@ -6,7 +6,7 @@ import pytest
 from hcmlab.laplace import (InversionResult, branch_cut_invert, branch_cut_kernel,
                             bromwich_invert, closed_form_inverse_t1, invert_grid,
                             kernel_sign_change, kernel_total_integral, laplace_forward)
-from hcmlab.quadrature import QuadratureSpec
+from hcmlab.quadrature import ConvergenceError, QuadratureSpec
 from hcmlab.specfun import FamilyParams, f_family
 
 
@@ -75,6 +75,37 @@ class TestBromwich:
             assert a == pytest.approx(b, abs=1e-8)
 
 
+class TestBromwichErrorEstimate:
+    """The returned err must bound the true error, checked against independent values."""
+
+    # pole-free (t <= 1 - alpha); lam = 500 loses ~11 digits to e^{lam c}, and
+    # lam = 1e-7 needs a deep bisection toward y = 0 of a head 3e7 long
+    ORACLE_POINTS = [(0.3, 0.5, 500.0), (0.3, 0.5, 1e-7), (0.3, 0.65, 1.0),
+                     (0.2, 0.75, 0.3), (0.45, 0.5, 5.0), (0.1, 0.3, 2.0)]
+
+    @pytest.mark.parametrize("alpha,t,lam", ORACLE_POINTS)
+    def test_err_bounds_talbot_oracle(self, alpha, t, lam):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            c = mpmath.cos(mpmath.pi * alpha)
+            exact = float(mpmath.invertlaplace(lambda s: 1 / (s ** (2 * t) + 2 * c * s ** t + 1),
+                                               lam, method="talbot"))
+        g, err = bromwich_invert(FamilyParams(alpha, t), lam, return_err=True)
+        assert abs(g - exact) <= err
+        assert err <= 1e-6 * max(1.0, abs(g))
+
+    def test_err_bounds_closed_form_t1_on_c02_grid(self):
+        for alpha in [round(0.05 * j, 2) for j in range(1, 11)]:
+            p = FamilyParams(alpha, 1.0)
+            for lam in np.geomspace(0.1, 3.0 * math.pi / math.sin(math.pi * alpha), 80):
+                g, err = bromwich_invert(p, lam, return_err=True)
+                assert abs(g - closed_form_inverse_t1(lam, alpha)) <= err, (alpha, lam)
+
+    def test_overflow_is_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            bromwich_invert(FamilyParams(0.3, 0.5), 3e4)
+
+
 class TestBranchCutKernel:
     def test_im_part_identity(self):
         # Im(1/P(z)) = -2 Im(z) (cos(pi a) + Re z) / |P(z)|^2
@@ -122,6 +153,20 @@ class TestBranchCutInvert:
     def test_lambda_zero_vanishes(self):
         p = FamilyParams.from_eps(0.2, 0.1)
         assert abs(branch_cut_invert(0.0, p)) < 1e-7
+
+    def test_err_bounds_route_gap(self):
+        # the two routes share no quadrature, so their gap must sit inside both estimates
+        for p in (FamilyParams.from_eps(0.25, 0.05), FamilyParams(0.3, 0.2)):
+            for lam in (0.1, 1.0, 10.0):
+                b, b_err = branch_cut_invert(lam, p, return_err=True)
+                g, g_err = bromwich_invert(p, lam, return_err=True)
+                assert b == branch_cut_invert(lam, p)
+                assert 0.0 < b_err and abs(b - g) <= b_err + g_err
+
+    def test_lambda_zero_err(self):
+        p = FamilyParams.from_eps(0.2, 0.1)
+        g, err = branch_cut_invert(0.0, p, return_err=True)
+        assert abs(g) <= err < 1e-9
 
     def test_nonnegative_in_cm_region(self):
         p = FamilyParams.from_eps(0.3, 0.05)
@@ -198,6 +243,14 @@ class TestInvertGrid:
         a = invert_grid(p, lams, method="bromwich")
         b = invert_grid(p, lams, method="branch_cut")
         assert np.max(np.abs(a.values - b.values)) < 1e-6
+
+    def test_branch_cut_grid_error_is_measured(self):
+        p = FamilyParams.from_eps(0.25, 0.05)
+        lams = np.geomspace(0.1, 10.0, 5)
+        res = invert_grid(p, lams, method="branch_cut")
+        errs = [branch_cut_invert(x, p, return_err=True)[1] for x in lams]
+        assert res.est_error == max(errs)
+        assert res.est_error != QuadratureSpec().abs_tol
 
     def test_closed_form_method_guard(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,14 @@ class TestCmByInversion:
         v = cm_check_by_inversion(FamilyParams(0.5, 0.5))
         assert v.passed
 
+    @pytest.mark.parametrize("lam_max", [700.0, 1000.0, 3000.0])
+    def test_unresolved_large_lambda_is_inconclusive(self, lam_max):
+        # pole-free, hence CM; past lam ~ 600 the e^{lam c} factor leaves g
+        # inside its own error estimate: no certified negative, and at 3000
+        # the noise inflates ||g|| so far that g >= -thr alone would PASS
+        v = cm_check_by_inversion(FamilyParams(0.3, 0.5), ScanGrid(0.05, lam_max, 40))
+        assert v.status == "INCONCLUSIVE", v.detail
+
     def test_pass_carries_minimum(self):
         v = cm_check_by_inversion(FamilyParams(0.5, 0.5))
         lam, g = v.witness

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from hcmlab.quadrature import (ConvergenceError, QuadratureSpec, oscillatory_tail,
-                               quad_checked, tanh_sinh)
+from hcmlab.quadrature import (_GK_NODES, _GK_WEIGHTS, ConvergenceError, QuadratureSpec,
+                               gauss_kronrod_panels, oscillatory_tail, quad_checked, tanh_sinh)
 
 
 class TestQuadratureSpec:
@@ -50,6 +50,55 @@ class TestQuadChecked:
         q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)
         with pytest.raises(ConvergenceError):
             quad_checked(lambda x: math.sin(50.0 * x) * math.cos(91.3 * x), 0.0, 20.0, q)
+
+
+class TestGaussKronrodPanels:
+    LOOSE = QuadratureSpec(abs_tol=1.0, rel_tol=1.0)  # every panel retires on the first pass
+
+    def test_k21_exact_through_degree_31(self):
+        for d in range(32):
+            val, _ = gauss_kronrod_panels(lambda x: x ** d, [0.0, 1.0], self.LOOSE)
+            assert val == pytest.approx(1.0 / (d + 1), abs=4e-16)
+
+    def test_g10_nodes_are_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = _GK_WEIGHTS[:, 1] != 0.0
+        assert np.allclose(_GK_NODES[gauss], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(_GK_WEIGHTS[gauss, 1], weights, rtol=0.0, atol=1e-15)
+
+    def test_oscillatory_closed_form(self):
+        # int_0^20 e^{-x/5} cos(7x) dx = Re[(e^{20 (7i - 1/5)} - 1) / (7i - 1/5)]
+        s = 7j - 0.2
+        exact = ((np.exp(20.0 * s) - 1.0) / s).real
+        val, err = gauss_kronrod_panels(lambda x: np.exp(-0.2 * x) * np.cos(7.0 * x),
+                                        np.linspace(0.0, 20.0, 5))
+        assert val == pytest.approx(exact, abs=1e-12)
+        assert err >= abs(val - exact)
+
+    def test_exhaustion_raises(self):
+        q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)
+        with pytest.raises(ConvergenceError):
+            gauss_kronrod_panels(lambda x: np.sin(50.0 * x) * np.cos(91.3 * x), [0.0, 20.0], q)
+
+    def test_one_array_per_pass(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 / (1.0 + 100.0 * x * x)
+
+        val, _ = gauss_kronrod_panels(f, [-1.0, 1.0])
+        assert val == pytest.approx(0.2 * math.atan(10.0), abs=1e-12)
+        assert len(seen) > 1  # bisected at least once
+        for x in seen:
+            assert isinstance(x, np.ndarray) and x.ndim == 1 and x.size % 21 == 0
+        assert sum(x.size for x in seen) > 21 * len(seen)  # several panels per call
+
+    def test_edges_must_increase(self):
+        with pytest.raises(ValueError):
+            gauss_kronrod_panels(np.sin, [0.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            gauss_kronrod_panels(np.sin, [0.0])
 
 
 class TestOscillatoryTail:
