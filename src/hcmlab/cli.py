@@ -107,6 +107,9 @@ def _family(args) -> FamilyParams:
     return FamilyParams(args.alpha, t)
 
 
+_CM_GRID = {"lambda_min": 0.05, "lambda_max": 50.0, "n": 40}  # cm-check's lambda grid
+
+
 def build_parser() -> _Parser:
     fmt = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
     p = _Parser(prog="hcmlab", description=__doc__, **fmt)
@@ -115,9 +118,12 @@ def build_parser() -> _Parser:
     q = sub.add_parser("cm-check", help="complete-monotonicity check of f_(alpha,t)", **fmt)
     q.add_argument("--alpha", type=float, required=True, help="family index in (0, 1)")
     q.add_argument("--t", type=float, required=True, help="power index t > 0")
-    q.add_argument("--lambda-min", type=float, default=0.05, help="scan grid start")
-    q.add_argument("--lambda-max", type=float, default=50.0, help="scan grid end")
-    q.add_argument("--n", type=int, default=40, help="scan grid size")
+    q.add_argument("--lambda-min", type=float, default=argparse.SUPPRESS,
+                   help=f"scan grid start (default: {_CM_GRID['lambda_min']}; not with --method diff)")
+    q.add_argument("--lambda-max", type=float, default=argparse.SUPPRESS,
+                   help=f"scan grid end (default: {_CM_GRID['lambda_max']}; not with --method diff)")
+    q.add_argument("--n", type=int, default=argparse.SUPPRESS,
+                   help=f"scan grid size (default: {_CM_GRID['n']}; not with --method diff)")
     q.add_argument("--tol", type=float, default=1e-8, help="negativity tolerance")
     q.add_argument("--method", choices=("invert", "diff", "both"), default="invert", help="checker route")
 
@@ -184,8 +190,14 @@ def build_parser() -> _Parser:
 
 def _run_cm_check(args, report: RunReport):
     p = _family(args)
-    grid = ScanGrid(getattr(args, "lambda_min"), getattr(args, "lambda_max"), args.n)
+    given = [k for k in _CM_GRID if hasattr(args, k)]
+    if args.method == "diff" and given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise _usage_fail(f"{flags}: --method diff scans its own x grid and takes no lambda grid")
     if args.method in ("invert", "both"):
+        lam = {k: getattr(args, k, default) for k, default in _CM_GRID.items()}
+        report.params.update(lam)
+        grid = ScanGrid(lam["lambda_min"], lam["lambda_max"], lam["n"])
         report.add("cm_by_inversion", cm_check_by_inversion(p, grid, args.tol))
     if args.method in ("diff", "both"):
         f = lambda x: np.real(f_family(np.asarray(x, dtype=complex), p))
@@ -253,6 +265,9 @@ def _run_mc_verify(args, report: RunReport):
         report.add(check, mc.verify_kanter_cm(args.alpha))
 
 
+_INVERT_TOL = 1e-6  # c03's tolerance, for the route gap and for each route's est_error
+
+
 def _run_invert(args, report: RunReport):
     p = _family(args)
     lams = np.asarray(sorted(args.lambdas), dtype=float)
@@ -276,9 +291,17 @@ def _run_invert(args, report: RunReport):
     if args.method == "both":
         a, b = rows["bromwich"].values, rows["branch_cut"].values
         gap = float(np.max(np.abs(a - b)))
-        status = PASS if gap <= 1e-6 else "FAIL"
-        report.add("method_agreement", Verdict(status, 1e-6, witness=(float(lams[int(np.argmax(np.abs(a - b)))]), gap),
+        status = PASS if gap <= _INVERT_TOL else "FAIL"
+        report.add("method_agreement", Verdict(status, _INVERT_TOL, witness=(float(lams[int(np.argmax(np.abs(a - b)))]), gap),
                                                detail=f"max |bromwich - branch_cut| = {gap:.3e}"))
+    # a value whose error estimate swamps it has no reliable sign; say so
+    unresolved = [(m, res.est_error) for m, res in rows.items()
+                  if res.est_error > _INVERT_TOL * max(1.0, float(np.max(np.abs(res.values))))]
+    if unresolved:
+        report.add("unresolved", Verdict(
+            INCONCLUSIVE, _INVERT_TOL, witness=unresolved,
+            detail=f"est_error above {_INVERT_TOL:g} max(1, max|g|) on " +
+                   ", ".join(f"{m} ({e:.3e})" for m, e in unresolved)))
 
 
 _RUNNERS = {

@@ -104,6 +104,12 @@ def default_abscissa(p: FamilyParams, lam: float) -> float:
     return max(0.0, _pole_abscissa(p)) + delta
 
 
+# The default abscissa has c >= 0.05 and the overflow check keeps lam c <= 709,
+# so it never needs more than ceil(4 * 709 / (0.05 pi)) = 18,055 head panels;
+# only a user-set small c asks for more (c = 1e-6, lam = 1e8 would be 1.3e8).
+MAX_HEAD_PANELS = 20_000
+
+
 def bromwich_invert(p: FamilyParams, lam: float, c: float | None = None,
                     spec: QuadratureSpec = DEFAULT_QUAD,
                     return_err: bool = False):
@@ -114,8 +120,9 @@ def bromwich_invert(p: FamilyParams, lam: float, c: float | None = None,
     vectorized f' call; the tail by ``oscillatory_tail``.  With c = None the
     abscissa is chosen by ``default_abscissa``.  Raises ValueError if the
     line does not clear the poles of the continuation, ConvergenceError if
-    the head rule exhausts its bisection budget (``spec.max_subdivisions``)
-    or e^{lam c} overflows.  With ``return_err`` returns (g, err), err being
+    the head rule exhausts its bisection budget (``spec.max_subdivisions``),
+    the head would need more than ``MAX_HEAD_PANELS`` panels, or e^{lam c}
+    overflows.  With ``return_err`` returns (g, err), err being
     the head and tail estimates scaled by e^{lam c}/(pi lam).
     """
     if p.t <= 0.0:
@@ -141,6 +148,9 @@ def bromwich_invert(p: FamilyParams, lam: float, c: float | None = None,
 
     # head [0, Y0] on m half-period panels, Y0 past the region where f' has structure
     m = max(1, int(math.ceil(4.0 * lam / math.pi)))
+    if m > MAX_HEAD_PANELS:
+        raise ConvergenceError(f"the head needs {m} half-period panels at lam = {lam:.6g}, "
+                               f"over the cap of {MAX_HEAD_PANELS}")
     y0 = m * math.pi / lam
     head, head_err = gauss_kronrod_panels(lambda y: (phi(y) * np.exp(1j * lam * y)).real,
                                           np.linspace(0.0, y0, m + 1), spec)

@@ -7,7 +7,9 @@ rule that tolerates integrable endpoint singularities, and an accelerated
 half-period panel sum for semi-infinite Fourier-type integrals with
 algebraic decay.  ``quad_checked`` wraps scipy's QUADPACK for the scalar
 integrands elsewhere in the package (the forward transform, the branch-cut
-route, density normalizations).
+route, density normalizations).  scipy is imported on the first
+``quad_checked`` call, not with this module, so ``import hcmlab`` and every
+path that never reaches QUADPACK load numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["QuadratureSpec", "ConvergenceError", "gauss_kronrod_panels", "tanh_sinh",
            "oscillatory_tail", "quad_checked"]
@@ -48,8 +49,12 @@ DEFAULT_QUAD = QuadratureSpec()
 def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, points=None):
     """scipy.integrate.quad under a QuadratureSpec; raises on failure.
 
-    Returns (value, error_estimate).
+    scipy.integrate is imported here, on the first call, so only the
+    processes that reach QUADPACK pay for its import (most of a cold CLI
+    start).  Returns (value, error_estimate).
     """
+    from scipy.integrate import quad
+
     kw = dict(limit=spec.max_subdivisions, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
               full_output=1)
     if points is not None and not math.isinf(b):

@@ -46,6 +46,55 @@ class TestExitCodes:
         assert verdict["status"] == "INCONCLUSIVE"
         assert "RuntimeError" in verdict["detail"] and "CDF table mass" in verdict["detail"]
 
+    def test_head_panel_cap_is_inconclusive(self, capsys):
+        code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5",
+                            "--lambda", "1e8", "--c", "1e-6")
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "numerical_failure"
+        assert verdict["status"] == "INCONCLUSIVE"
+        assert "ConvergenceError" in verdict["detail"]
+
+    def test_unresolved_invert_is_inconclusive(self, capsys):
+        # e^{lam c} = e^35 swamps the head's digits: est_error ~ 6.6 against |g| ~ 1.6e-4
+        code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5", "--lambda", "700")
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "unresolved"
+        assert verdict["status"] == "INCONCLUSIVE"
+        assert verdict["witness"][0][0] == "bromwich"
+        assert rep["params"]["results"]["bromwich"]["est_error"] > 1e-6
+
+    @pytest.mark.parametrize("method,names", [("bromwich", []), ("both", ["method_agreement"])])
+    def test_resolved_invert_has_no_unresolved_verdict(self, capsys, method, names):
+        code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5",
+                            "--lambda", "0.5", "1", "2", "--method", method)
+        assert code == 0
+        assert [v["name"] for v in rep["verdicts"]] == names
+
+    def test_cm_diff_rejects_lambda_grid_flags(self, capsys):
+        for flag, value in (("--lambda-min", "0.1"), ("--lambda-max", "20"), ("--n", "30")):
+            code = main(["cm-check", "--alpha", "0.3", "--t", "0.65",
+                         "--method", "diff", flag, value])
+            out, err = capsys.readouterr()
+            assert code == EX_USAGE and out == ""
+            assert flag in err
+
+    def test_cm_diff_without_grid_flags(self, capsys):
+        code, rep = run_cli(capsys, "cm-check", "--alpha", "0.3", "--t", "0.65", "--method", "diff")
+        assert code == 0
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "cm_by_differences" and verdict["status"] == "PASS"
+        assert "lambda_min" not in rep["params"]
+
+    def test_cm_grid_flags_keep_their_defaults(self, capsys):
+        code, rep = run_cli(capsys, "cm-check", "--alpha", "0.3", "--t", "0.65",
+                            "--method", "both", "--n", "20")
+        assert code == 0
+        assert {k: rep["params"][k] for k in ("lambda_min", "lambda_max", "n")} == \
+            {"lambda_min": 0.05, "lambda_max": 50.0, "n": 20}
+        assert "n=20" in rep["verdicts"][0]["detail"]
+
     def test_help_lists_flags_with_defaults(self, capsys):
         for cmd in ("cm-check", "hcm-check", "pick-scan", "critical-t", "mc-verify", "invert"):
             assert main([cmd, "--help"]) == 0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hcmlab.laplace import (InversionResult, branch_cut_invert, branch_cut_kernel,
-                            bromwich_invert, closed_form_inverse_t1, invert_grid,
+from hcmlab.laplace import (MAX_HEAD_PANELS, InversionResult, branch_cut_invert,
+                            branch_cut_kernel, bromwich_invert, closed_form_inverse_t1, invert_grid,
                             kernel_sign_change, kernel_total_integral, laplace_forward)
 from hcmlab.quadrature import ConvergenceError, QuadratureSpec
 from hcmlab.specfun import FamilyParams, f_family
@@ -104,6 +104,19 @@ class TestBromwichErrorEstimate:
     def test_overflow_is_convergence_error(self):
         with pytest.raises(ConvergenceError):
             bromwich_invert(FamilyParams(0.3, 0.5), 3e4)
+
+    def test_head_panel_cap_is_convergence_error(self):
+        # a tiny user abscissa keeps e^{lam c} finite but asks for 1.3e8 head
+        # panels; the cap must raise before any node array is built
+        with pytest.raises(ConvergenceError, match="half-period panels"):
+            bromwich_invert(FamilyParams(0.3, 0.5), 1e8, c=1e-6)
+
+    def test_head_panel_cap_clears_default_abscissa(self):
+        # the largest lam before e^{lam c} overflows at c = 0.05 needs 18,054 panels
+        lam = 709.0 / 0.05 - 1.0
+        assert math.ceil(4.0 * lam / math.pi) <= MAX_HEAD_PANELS
+        g, err = bromwich_invert(FamilyParams(0.3, 0.5), lam, return_err=True)
+        assert math.isfinite(g) and err > abs(g)  # unresolved, but no cap error
 
 
 class TestBranchCutKernel:

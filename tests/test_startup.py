@@ -1,0 +1,80 @@
+"""Start-up guard: scipy loads only on the paths that call into it.
+
+``import hcmlab`` and the subcommands that never reach QUADPACK (or the
+scipy.special / cumulative_simpson helpers) must leave scipy unloaded; its
+import is most of a cold CLI process.  Each case runs in a fresh
+interpreter, and the assertions are on ``sys.modules``, not on times.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_CHILD = """\
+import json, sys
+import hcmlab
+import hcmlab.cli
+argv = json.loads(sys.argv[1])
+code = hcmlab.cli.main(argv) if argv else None
+sys.stdout.write("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules)}) + "\\n")
+"""
+
+
+def run_fresh(argv):
+    """(exit code, report or None, loaded module names) of one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    tail = json.loads(lines[-1])
+    report = json.loads(lines[0]) if len(lines) > 1 else None
+    return tail["code"], report, set(tail["modules"])
+
+
+def test_import_leaves_scipy_unloaded():
+    _, _, modules = run_fresh([])
+    assert "hcmlab" in modules and "numpy" in modules
+    assert "scipy" not in modules
+
+
+SCIPY_FREE = {
+    "cm-check": ["cm-check", "--alpha", "0.3", "--t", "0.65", "--n", "20"],
+    "hcm-check": ["hcm-check", "--alpha", "0.2", "--t", "0.9"],
+    "pick-scan": ["pick-scan", "--alpha", "0.2", "--eps", "0.1", "--n-per-level", "200",
+                  "--emit-figure2", "{tmp}/fig2.csv"],
+    "critical-t": ["critical-t", "--alpha", "0.3", "--bisect-tol", "0.05", "--n", "30"],
+    "invert-bromwich": ["invert", "--alpha", "0.3", "--t", "0.5", "--lambda", "0.5", "2",
+                        "--method", "bromwich"],
+    "mc-T-density": ["mc-verify", "--check", "T-density", "--alpha", "0.3", "--n", "5000"],
+    "mc-bessel-product": ["mc-verify", "--check", "bessel-product", "--alpha", "0.166667"],
+    "mc-kanter-cm": ["mc-verify", "--check", "kanter-cm", "--alpha", "0.4"],
+    "mc-zinv-factorization": ["mc-verify", "--check", "zinv-factorization", "--n", "5000"],
+    "mc-stable-laplace": ["mc-verify", "--check", "stable-laplace", "--alpha", "0.3",
+                          "--n", "5000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_FREE))
+def test_subcommand_leaves_scipy_unloaded(name, tmp_path):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in SCIPY_FREE[name]]
+    code, report, modules = run_fresh(argv)
+    assert code in (0, 1), report  # hcm-check at t = 0.9 is a pole FAIL
+    assert report["verdicts"] or report["params"]["results"]
+    assert "scipy" not in modules, sorted(m for m in modules if m.startswith("scipy"))
+
+
+def test_branch_cut_route_still_loads_quadpack():
+    code, report, modules = run_fresh(["invert", "--alpha", "0.25", "--t", "0.7",
+                                       "--lambda", "0.5", "1", "--method", "both"])
+    assert code == 0
+    (agreement,) = [v for v in report["verdicts"] if v["name"] == "method_agreement"]
+    assert agreement["status"] == "PASS"
+    assert "scipy.integrate" in modules
