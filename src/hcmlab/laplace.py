@@ -11,7 +11,11 @@ Inverse direction, for f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
   on the vectorized adaptive Gauss-Kronrod panel rule, starting from the
   half periods of e^{i lam y}; the oscillatory tail is summed over further
   half-period panels with Euler-type acceleration.  Both hand f' whole
-  node arrays, so no scalar integrand is called per node.
+  node arrays, so no scalar integrand is called per node.  A whole lam
+  grid goes through one batched pass: every lam keeps its own abscissa,
+  panels and retire rule, but each adaptive pass is one f' call for the
+  grid, and so are all its tails (grids too big for one pass are split
+  into chunks of at most ``MAX_HEAD_PANELS`` panels).
 
 * ``branch_cut_invert`` uses the real-axis representation obtained by
   collapsing the contour onto the negative axis (valid while the
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (DEFAULT_QUAD, ConvergenceError, QuadratureSpec,
+from .quadrature import (DEFAULT_QUAD, TAIL_PANELS, ConvergenceError, QuadratureSpec,
                          gauss_kronrod_panels, oscillatory_tail, quad_checked)
 from .specfun import FamilyParams, f_family_prime, p_alpha, pole_locations
 
@@ -94,72 +98,113 @@ def _pole_abscissa(p: FamilyParams) -> float:
     return max(z.real for z in poles)
 
 
-def default_abscissa(p: FamilyParams, lam: float) -> float:
+def default_abscissa(p: FamilyParams, lam: float | np.ndarray):
     """Abscissa clearing every pole, with e^{lam c} amplification kept ~e^2.
 
     A fixed abscissa loses about e^{lam c} digits of the quadrature
     estimate, so the margin beyond the rightmost pole shrinks like 1/lam.
+    ``lam`` may be an array.
     """
-    delta = min(1.0, max(2.0 / lam, 0.05))
+    delta = np.minimum(1.0, np.maximum(2.0 / np.asarray(lam, dtype=float), 0.05))
     return max(0.0, _pole_abscissa(p)) + delta
 
 
 # The default abscissa has c >= 0.05 and the overflow check keeps lam c <= 709,
 # so it never needs more than ceil(4 * 709 / (0.05 pi)) = 18,055 head panels;
 # only a user-set small c asks for more (c = 1e-6, lam = 1e8 would be 1.3e8).
+# A grid is inverted in chunks of at most this many head plus tail panels.
 MAX_HEAD_PANELS = 20_000
 
 
-def bromwich_invert(p: FamilyParams, lam: float, c: float | None = None,
+def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
+                    c: float | np.ndarray | None = None,
                     spec: QuadratureSpec = DEFAULT_QUAD,
                     return_err: bool = False):
     """Inverse Laplace transform of f at lam > 0 along the line Re z = c.
 
-    The head [0, y0] is integrated by ``gauss_kronrod_panels`` on the m
-    half-period panels of e^{i lam y} that end at y0, each pass one
-    vectorized f' call; the tail by ``oscillatory_tail``.  With c = None the
-    abscissa is chosen by ``default_abscissa``.  Raises ValueError if the
-    line does not clear the poles of the continuation, ConvergenceError if
-    the head rule exhausts its bisection budget (``spec.max_subdivisions``),
-    the head would need more than ``MAX_HEAD_PANELS`` panels, or e^{lam c}
-    overflows.  With ``return_err`` returns (g, err), err being
-    the head and tail estimates scaled by e^{lam c}/(pi lam).
+    ``lam`` is a scalar or a 1-d array; an array gives arrays of g (and
+    err), a scalar gives floats.  Each lam keeps its own abscissa, ``c``
+    (a scalar or an array matching ``lam``) or ``default_abscissa`` when
+    c = None.  The head [0, y0] is integrated by ``gauss_kronrod_panels``
+    on the m = ceil(4 lam/pi) half-period panels of e^{i lam y} that end
+    at y0, the tail by ``oscillatory_tail``; every lam keeps its own
+    panels, retire rule and bisection budget, but one adaptive pass makes
+    one f' call for the whole grid, and all tails share one more.  A grid
+    is split into consecutive chunks of at most ``MAX_HEAD_PANELS`` head
+    plus tail panels, so no pass builds a bigger node array than one lam
+    at the cap.
+
+    Raises ValueError if a line does not clear the poles of the
+    continuation, ConvergenceError if the head rule exhausts its bisection
+    budget (``spec.max_subdivisions``) at some lam, a head would need more
+    than ``MAX_HEAD_PANELS`` panels, or e^{lam c} overflows; the last two
+    are checked for the whole grid before any node is built.  With
+    ``return_err`` returns (g, err), err being the head and tail estimates
+    scaled by e^{lam c}/(pi lam).
     """
     if p.t <= 0.0:
         raise ValueError("bromwich_invert requires t > 0")
-    if lam <= 0.0:
-        raise ValueError("bromwich_invert requires lam > 0")
-    if c is None:
-        c = default_abscissa(p, lam)
-    if c <= 0.0:
+    lams = np.asarray(lam, dtype=float)
+    scalar = lams.ndim == 0
+    if lams.ndim > 1 or np.any(~(lams > 0.0)):
+        raise ValueError("bromwich_invert requires lam > 0, a scalar or a 1-d array")
+    lams = lams.reshape(-1)
+    cs = np.broadcast_to(default_abscissa(p, lams) if c is None else np.asarray(c, dtype=float),
+                         lams.shape)
+    if np.any(~(cs > 0.0)):
         raise ValueError("abscissa must be positive")
     if 0.0 < p.alpha < 1.0 and pole_locations(p):
         sigma = _pole_abscissa(p)
-        if c <= sigma:
-            raise ValueError(f"pole on or right of the line: Re pole = {sigma}, c = {c}")
+        if np.any(cs <= sigma):
+            raise ValueError(f"pole on or right of the line: Re pole = {sigma}, "
+                             f"c = {cs[np.argmax(cs <= sigma)]}")
 
-    try:
-        amp = math.exp(lam * c) / (math.pi * lam)
-    except OverflowError:
-        raise ConvergenceError(f"e^(lam c) overflows at lam c = {lam * c:.6g}") from None
-
-    def phi(y):
-        return f_family_prime(c + 1j * np.asarray(y, dtype=float), p)
-
+    with np.errstate(over="ignore"):
+        amp = np.exp(lams * cs) / (np.pi * lams)
+    if not np.all(np.isfinite(amp)):
+        k = int(np.argmax(~np.isfinite(amp)))
+        raise ConvergenceError(f"e^(lam c) overflows at lam c = {lams[k] * cs[k]:.6g}")
     # head [0, Y0] on m half-period panels, Y0 past the region where f' has structure
-    m = max(1, int(math.ceil(4.0 * lam / math.pi)))
-    if m > MAX_HEAD_PANELS:
-        raise ConvergenceError(f"the head needs {m} half-period panels at lam = {lam:.6g}, "
-                               f"over the cap of {MAX_HEAD_PANELS}")
-    y0 = m * math.pi / lam
-    head, head_err = gauss_kronrod_panels(lambda y: (phi(y) * np.exp(1j * lam * y)).real,
-                                          np.linspace(0.0, y0, m + 1), spec)
-    tail, tail_err = oscillatory_tail(phi, lam, y0)
-    g = -amp * (head + tail.real)
-    err = amp * (head_err + tail_err)
+    m = np.maximum(1.0, np.ceil(4.0 * lams / np.pi))
+    if np.any(m > MAX_HEAD_PANELS):
+        k = int(np.argmax(m > MAX_HEAD_PANELS))
+        raise ConvergenceError(f"the head needs {m[k]:.0f} half-period panels at "
+                               f"lam = {lams[k]:.6g}, over the cap of {MAX_HEAD_PANELS}")
+    m = m.astype(np.intp)
+    y0 = m * np.pi / lams
+
+    g, err = np.empty_like(lams), np.empty_like(lams)
+    used = np.cumsum(m + TAIL_PANELS)
+    lo = 0
+    while lo < lams.size:
+        base = used[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(used, base + MAX_HEAD_PANELS, side="right")))
+        k = slice(lo, hi)
+        g[k], err[k] = _bromwich_chunk(p, lams[k], cs[k], m[k], y0[k], spec)
+        lo = hi
+    g, err = -amp * g, amp * err
+    if scalar:
+        g, err = float(g[0]), float(err[0])
     if return_err:
         return g, err
     return g
+
+
+def _bromwich_chunk(p, lams, cs, m, y0, spec):
+    """Unscaled head + tail for a chunk of lam: (Re int, error estimate) per lam."""
+    # the panel edges of np.linspace(0, y0, m + 1), laid end to end for every lam
+    last = np.cumsum(m)
+    group = np.repeat(np.arange(lams.size), m)
+    j = np.arange(last[-1]) - np.repeat(last - m, m)
+    step = (y0 / m)[group]
+    b = (j + 1) * step
+    b[last - 1] = y0
+    head, head_err = gauss_kronrod_panels(
+        lambda y, k: (f_family_prime(cs[k] + 1j * y, p) * np.exp(1j * lams[k] * y)).real,
+        np.stack([j * step, b], axis=1), spec, group)
+    tail, tail_err = oscillatory_tail(lambda y: f_family_prime(cs[:, None] + 1j * y, p),
+                                      lams, y0)
+    return head + tail.real, head_err + tail_err
 
 
 # --------------------------------------------------------------------------
@@ -298,15 +343,13 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
         return InversionResult(lam, vals, "branch_cut", float(np.max(errs)))
     if method != "bromwich":
         raise ValueError(f"unknown method {method!r}")
-    vals = np.empty_like(lam)
-    err = 0.0
-    for i, x in enumerate(lam):
-        vals[i], e = bromwich_invert(p, x, c=c, spec=spec, return_err=True)
-        err = max(err, e)
+    # one call: the grid, then (cross_check) its two ends again at 1.3 times their abscissa
+    cs = default_abscissa(p, lam) if c is None else np.full_like(lam, c)
+    ends = [0, -1] if cross_check else []
+    g, e = bromwich_invert(p, np.concatenate([lam, lam[ends]]),
+                           np.concatenate([cs, 1.3 * cs[ends]]), spec, return_err=True)
+    n = lam.size
+    err = float(np.max(e[:n]))
     if cross_check:
-        for x in (lam[0], lam[-1]):
-            c0 = c if c is not None else default_abscissa(p, x)
-            g0 = bromwich_invert(p, x, c=c0, spec=spec)
-            g1 = bromwich_invert(p, x, c=1.3 * c0, spec=spec)
-            err = max(err, abs(g0 - g1))
-    return InversionResult(lam, vals, "bromwich", err)
+        err = max(err, float(np.max(np.abs(g[ends] - g[n:]))))
+    return InversionResult(lam, g[:n], "bromwich", err)

@@ -129,8 +129,7 @@ def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
         lambda_grid = ScanGrid(0.05, 50.0, 40)
     lams = lambda_grid.points()
     try:
-        gs, errs = np.array([bromwich_invert(p, x, spec=spec, return_err=True)
-                             for x in lams]).T
+        gs, errs = bromwich_invert(p, lams, spec=spec, return_err=True)
     except (ConvergenceError, ValueError) as exc:
         return Verdict(INCONCLUSIVE, tol, detail=f"inversion failed: {exc}")
     thr = tol * max(1.0, float(np.max(np.abs(gs))))

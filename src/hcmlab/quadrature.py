@@ -5,11 +5,15 @@ an adaptive Gauss-Kronrod panel rule (QUADPACK's G10/K21 pair, applied to
 every active panel at once; the Bromwich head runs on it), a tanh-sinh
 rule that tolerates integrable endpoint singularities, and an accelerated
 half-period panel sum for semi-infinite Fourier-type integrals with
-algebraic decay.  ``quad_checked`` wraps scipy's QUADPACK for the scalar
-integrands elsewhere in the package (the forward transform, the branch-cut
-route, density normalizations).  scipy is imported on the first
-``quad_checked`` call, not with this module, so ``import hcmlab`` and every
-path that never reaches QUADPACK load numpy only.
+algebraic decay.  The panel rule and the tail sum also take many
+integrals at once (panels tagged with a group index; arrays of frequency
+and start), still with one integrand call per pass, which is how the
+Bromwich route inverts a whole lam grid.  ``quad_checked`` wraps scipy's
+QUADPACK for the scalar integrands elsewhere in the package (the forward
+transform, the branch-cut route, density normalizations).  scipy is
+imported on the first ``quad_checked`` call, not with this module, so
+``import hcmlab`` and every path that never reaches QUADPACK load numpy
+only.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ _GK_WEIGHTS = np.stack([_mirror(_K21_W), _mirror(_g10)], axis=1)  # columns: K21
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD):
+def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD, group=None):
     """Integrate a real, vectorized ``f`` over the panels between ``edges``.
 
     Each pass calls ``f`` once, on a 1-d ndarray holding the 21 Kronrod
@@ -117,34 +121,54 @@ def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD):
     panels are not counted.
 
     Returns (value, error_estimate).
+
+    Several integrals at once: ``edges`` is then an (n, 2) array of panel
+    ends [a, b] and ``group`` names, for each panel, the integral 0..G-1 it
+    belongs to.  Every pass still makes one call, ``f(x, g)``, with ``g``
+    the integral of each node, and the retire rule, the budget and the
+    bisection count are kept per integral, so each value is the one the
+    integral would get alone.  Returns two length-G arrays (value, err).
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
-        raise ValueError("edges must be strictly increasing, at least two of them")
-    a, b = edges[:-1], edges[1:]
-    value = spent = err = 0.0
-    bisections = 0
+    if group is None:
+        edges = np.asarray(edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
+            raise ValueError("edges must be strictly increasing, at least two of them")
+        value, err = gauss_kronrod_panels(lambda x, g: f(x), np.stack([edges[:-1], edges[1:]], 1),
+                                          spec, np.zeros(edges.size - 1, dtype=np.intp))
+        return float(value[0]), float(err[0])
+    a0, b0 = np.asarray(edges, dtype=float).T
+    grp0 = np.asarray(group, dtype=np.intp)
+    if not np.all(b0 > a0) or grp0.shape != a0.shape or np.any(grp0 < 0):
+        raise ValueError("panels need b > a and one nonnegative group index each")
+    ng = int(grp0.max()) + 1
+    a, b, grp = a0, b0, grp0
+    value, spent, err = np.zeros(ng), np.zeros(ng), np.zeros(ng)
+    bisections = np.zeros(ng, dtype=np.intp)
     while True:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        fx = f((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
+        x = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+        fx = f(x, np.repeat(grp, _GK_NODES.size)).reshape(-1, _GK_NODES.size)
         kron, gauss = (half[:, None] * (fx @ _GK_WEIGHTS)).T
         diff = np.abs(kron - gauss)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value + kron.sum())) - spent
-        done = diff <= tol * half / half.sum()
-        value += kron[done].sum()
-        spent += diff[done].sum()
+        tol = np.maximum(spec.abs_tol,
+                         spec.rel_tol * np.abs(value + np.bincount(grp, kron, ng))) - spent
+        done = diff <= tol[grp] * half / np.bincount(grp, half, ng)[grp]
+        kept = grp[done]
+        value += np.bincount(kept, kron[done], ng)
+        spent += np.bincount(kept, diff[done], ng)
         # QUADPACK's roundoff floor, 50 eps int |f|, enters the estimate only
         floor = _ROUNDOFF * half[done] * (np.abs(fx[done]) @ _GK_WEIGHTS[:, 0])
-        err += np.maximum(diff[done], floor).sum()
+        err += np.bincount(kept, np.maximum(diff[done], floor), ng)
         if done.all():
-            return float(value), float(err)
-        a, b, mid = a[~done], b[~done], mid[~done]
-        bisections += a.size
-        if bisections > spec.max_subdivisions:
+            return value, err
+        a, b, mid, grp = a[~done], b[~done], mid[~done], grp[~done]
+        bisections += np.bincount(grp, minlength=ng)
+        if np.any(bisections > spec.max_subdivisions):
+            k = int(np.argmax(bisections > spec.max_subdivisions))
             raise ConvergenceError(
-                f"gauss_kronrod_panels: {bisections} bisections exceed the budget of "
-                f"{spec.max_subdivisions} on [{edges[0]}, {edges[-1]}]")
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+                f"gauss_kronrod_panels: {bisections[k]} bisections exceed the budget of "
+                f"{spec.max_subdivisions} on [{a0[grp0 == k].min()}, {b0[grp0 == k].max()}]")
+        a, b, grp = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([grp, grp])
 
 
 # --------------------------------------------------------------------------
@@ -200,28 +224,37 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 10):
 # --------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+TAIL_PANELS = 48
 
 
-def oscillatory_tail(phi, omega: float, start: float, npanels: int = 48):
+def oscillatory_tail(phi, omega, start, npanels: int = TAIL_PANELS):
     """int_start^inf e^{i omega y} phi(y) dy for smooth, decaying phi.
 
     ``start`` must be a multiple of pi/omega so consecutive panels carry
-    alternating phase; ``phi`` must accept an ndarray.  Returns
-    (value, error_estimate).
+    alternating phase.  ``omega`` and ``start`` broadcast: for arrays of
+    shape S, ``phi`` is called once, on an ndarray of shape S + (16 npanels,)
+    whose leading index follows omega and start, and the value and error
+    come back with shape S.  With scalars ``phi`` receives a 1-d ndarray.
+    Returns (value, error_estimate).
     """
-    w = math.pi / omega
-    edges = start + w * np.arange(npanels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    ys = mid[:, None] + (0.5 * w) * _GL_NODES[None, :]
-    vals = phi(ys.ravel()).reshape(ys.shape) * np.exp(1j * omega * ys)
-    panels = (0.5 * w) * (vals * _GL_WEIGHTS[None, :]).sum(axis=1)
-    partial = np.cumsum(panels)
-    best = partial[-1]
-    err = abs(panels[-1])
+    omega, start = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                                       np.asarray(start, dtype=float))
+    w = (np.pi / omega)[..., None]
+    edges = start[..., None] + w * np.arange(npanels + 1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    ys = mid[..., None] + (0.5 * w[..., None]) * _GL_NODES
+    flat = ys.reshape(omega.shape + (-1,))
+    vals = phi(flat).reshape(ys.shape) * np.exp(1j * omega[..., None, None] * ys)
+    panels = (0.5 * w) * (vals * _GL_WEIGHTS).sum(axis=-1)
+    partial = np.cumsum(panels, axis=-1)
+    best = partial[..., -1]
+    err = np.abs(panels[..., -1])
     cur = partial
-    while len(cur) >= 2:
-        cur = 0.5 * (cur[1:] + cur[:-1])
-        est = cur[-1]
-        err = abs(est - best)
+    while cur.shape[-1] >= 2:
+        cur = 0.5 * (cur[..., 1:] + cur[..., :-1])
+        est = cur[..., -1]
+        err = np.abs(est - best)
         best = est
+    if best.ndim == 0:
+        return complex(best), float(err)
     return best, err

@@ -186,12 +186,15 @@ def f_family(z, p: FamilyParams):
 
 
 def f_family_prime(z, p: FamilyParams):
-    """Derivative f'(z) = -2t z^{t-1} (z^t + cos pi alpha) / P(z^t)^2."""
+    """Derivative f'(z) = -2t z^{t-1} (z^t + cos pi alpha) / P(z^t)^2, for z != 0.
+
+    z^{t-1} is formed as z^t / z, so each point costs one complex power.
+    """
     z = np.asarray(z, dtype=complex)
     c = p.cos_pi_alpha
     zt = z ** p.t
     q = p_alpha(zt, p.alpha)
-    out = -2.0 * p.t * z ** (p.t - 1.0) * (zt + c) / (q * q)
+    out = -2.0 * p.t * (zt / z) * (zt + c) / (q * q)
     if out.ndim == 0:
         return complex(out)
     return out

@@ -72,6 +72,17 @@ class TestExitCodes:
         assert code == 0
         assert [v["name"] for v in rep["verdicts"]] == names
 
+    @pytest.mark.parametrize("lambdas,code,status", [(["700"], 2, "INCONCLUSIVE"),
+                                                     (["0.5", "1", "2"], 0, "PASS")])
+    def test_route_gap_is_certified_against_both_estimates(self, capsys, lambdas, code, status):
+        # at lam = 700 the bromwich est_error (~6.6) swamps the 1.8e-4 gap: no FAIL
+        got, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5",
+                           "--lambda", *lambdas, "--method", "both")
+        assert got == code
+        (agreement,) = [v for v in rep["verdicts"] if v["name"] == "method_agreement"]
+        assert agreement["status"] == status
+        assert "FAIL" not in [v["status"] for v in rep["verdicts"]]
+
     def test_cm_diff_rejects_lambda_grid_flags(self, capsys):
         for flag, value in (("--lambda-min", "0.1"), ("--lambda-max", "20"), ("--n", "30")):
             code = main(["cm-check", "--alpha", "0.3", "--t", "0.65",

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hcmlab.laplace
 from hcmlab.laplace import (MAX_HEAD_PANELS, InversionResult, branch_cut_invert,
                             branch_cut_kernel, bromwich_invert, closed_form_inverse_t1, invert_grid,
                             kernel_sign_change, kernel_total_integral, laplace_forward)
-from hcmlab.quadrature import ConvergenceError, QuadratureSpec
+from hcmlab.monotone import ScanGrid, cm_check_by_inversion
+from hcmlab.quadrature import TAIL_PANELS, ConvergenceError, QuadratureSpec
 from hcmlab.specfun import FamilyParams, f_family
 
 
@@ -117,6 +121,94 @@ class TestBromwichErrorEstimate:
         assert math.ceil(4.0 * lam / math.pi) <= MAX_HEAD_PANELS
         g, err = bromwich_invert(FamilyParams(0.3, 0.5), lam, return_err=True)
         assert math.isfinite(g) and err > abs(g)  # unresolved, but no cap error
+
+
+def _counting(monkeypatch, name):
+    """Replace hcmlab.laplace.<name> by a wrapper; returns its list of call arguments."""
+    calls = []
+    original = getattr(hcmlab.laplace, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hcmlab.laplace, name, wrapper)
+    return calls
+
+
+@st.composite
+def _family_and_grid(draw):
+    """(alpha, t) pole-free or in the strip 1 - alpha < t <= 1, and an increasing lam grid."""
+    alpha = draw(st.floats(0.05, 0.5))
+    if draw(st.booleans()):
+        t = draw(st.floats(0.2, 1.0 - alpha))
+    else:
+        t = draw(st.floats(1.0 - alpha, 1.0, exclude_min=True))
+    lams = draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=8, unique=True))
+    return FamilyParams(alpha, t), np.array(sorted(lams))
+
+
+class TestBromwichGrid:
+    """An array of lam is inverted in one batched pass; each value is the scalar call's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_family_and_grid())
+    def test_grid_equals_scalar_calls(self, case):
+        p, lams = case
+        g, err = bromwich_invert(p, lams, return_err=True)
+        assert g.shape == err.shape == lams.shape
+        for x, gx, ex in zip(lams, g, err):
+            g1, e1 = bromwich_invert(p, float(x), return_err=True)
+            assert isinstance(g1, float) and isinstance(e1, float)
+            assert abs(gx - g1) <= 1e-13 * max(1.0, abs(g1))
+            assert ex == pytest.approx(e1, rel=1e-6, abs=1e-13)
+
+    def test_grid_over_one_chunk(self, monkeypatch):
+        # three heads of 6,366 + 10,186 + 14,006 panels: two chunks, two tail calls
+        p, c = FamilyParams(0.3, 0.5), 5e-4
+        lams = np.array([5000.0, 8000.0, 11000.0])
+        assert np.sum(np.ceil(4.0 * lams / math.pi) + TAIL_PANELS) > MAX_HEAD_PANELS
+        tails = _counting(monkeypatch, "oscillatory_tail")
+        g, err = bromwich_invert(p, lams, c=c, return_err=True)
+        assert len(tails) == 2
+        for x, gx, ex in zip(lams, g, err):
+            g1, e1 = bromwich_invert(p, x, c=c, return_err=True)
+            assert abs(gx - g1) <= 1e-13 * max(1.0, abs(g1)) and ex <= 1e-12
+
+    @pytest.mark.parametrize("lams,c,match", [([1.0, 2.0, 3e4], None, "overflows"),
+                                              ([1.0, 1e8], 1e-6, "half-period panels")])
+    def test_one_bad_lambda_fails_the_grid_before_any_node(self, monkeypatch, lams, c, match):
+        primes = _counting(monkeypatch, "f_family_prime")
+        with pytest.raises(ConvergenceError, match=match):
+            bromwich_invert(FamilyParams(0.3, 0.5), np.array(lams), c=c)
+        assert primes == []
+
+    def test_one_bad_lambda_makes_cm_check_inconclusive(self):
+        v = cm_check_by_inversion(FamilyParams(0.3, 0.5), ScanGrid(0.05, 3e4, 5))
+        assert v.status == "INCONCLUSIVE" and "overflows" in v.detail
+
+    def test_talbot_oracle_through_grid_call(self):
+        mpmath = pytest.importorskip("mpmath")
+        cases = {}
+        for alpha, t, lam in TestBromwichErrorEstimate.ORACLE_POINTS:
+            cases.setdefault((alpha, t), []).append(lam)
+        for (alpha, t), lams in cases.items():
+            g, err = bromwich_invert(FamilyParams(alpha, t), np.array(sorted(lams)),
+                                     return_err=True)
+            with mpmath.workdps(30):
+                c = mpmath.cos(mpmath.pi * alpha)
+                exact = [float(mpmath.invertlaplace(
+                    lambda s: 1 / (s ** (2 * t) + 2 * c * s ** t + 1), lam, method="talbot"))
+                    for lam in sorted(lams)]
+            assert np.all(np.abs(g - exact) <= err)
+            assert np.all(err <= 1e-6 * np.maximum(1.0, np.abs(g)))
+
+    def test_closed_form_t1_through_grid_call(self):
+        for alpha in [round(0.05 * j, 2) for j in range(1, 11)]:
+            lams = np.geomspace(0.1, 3.0 * math.pi / math.sin(math.pi * alpha), 80)
+            g, err = bromwich_invert(FamilyParams(alpha, 1.0), lams, return_err=True)
+            exact = np.array([closed_form_inverse_t1(lam, alpha) for lam in lams])
+            assert np.all(np.abs(g - exact) <= err), alpha
 
 
 class TestBranchCutKernel:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hcmlab.laplace
 from hcmlab.monotone import (ScanGrid, SignChangeError, Verdict,
                              cm_check_by_differences, cm_check_by_inversion,
                              estimate_critical_t, hcm_check, hcm_check_family,
@@ -67,6 +68,16 @@ class TestCmByInversion:
         v = cm_check_by_inversion(FamilyParams(0.5, 0.5))
         lam, g = v.witness
         assert g >= -1e-10
+
+    @pytest.mark.parametrize("t", [0.65, 1.0])
+    def test_default_grid_makes_one_prime_call_per_pass(self, monkeypatch, t):
+        # the 40 lam are batched: one f' call per adaptive pass plus one for the tails
+        calls = []
+        prime = hcmlab.laplace.f_family_prime
+        monkeypatch.setattr(hcmlab.laplace, "f_family_prime",
+                            lambda z, p: calls.append(z.size) or prime(z, p))
+        cm_check_by_inversion(FamilyParams(0.3, t))
+        assert 0 < len(calls) <= 16
 
 
 class TestCmByDifferences:

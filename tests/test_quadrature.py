@@ -94,6 +94,26 @@ class TestGaussKronrodPanels:
             assert isinstance(x, np.ndarray) and x.ndim == 1 and x.size % 21 == 0
         assert sum(x.size for x in seen) > 21 * len(seen)  # several panels per call
 
+    def test_grouped_integrals_match_single_calls(self):
+        # int e^{-x/5} cos(w x) on two ranges at once: one call per pass, told each node's group
+        ranges = {0: (np.linspace(0.0, 20.0, 5), 7.0), 1: (np.linspace(1.0, 3.0, 3), 2.0)}
+        seen = []
+
+        def f(x, g):
+            seen.append(g)
+            w = np.array([ranges[0][1], ranges[1][1]])[g]
+            return np.exp(-0.2 * x) * np.cos(w * x)
+
+        edges = np.concatenate([np.stack([e[:-1], e[1:]], 1) for e, _ in ranges.values()])
+        group = np.repeat([0, 1], [4, 2])
+        val, err = gauss_kronrod_panels(f, edges, group=group)
+        assert val.shape == err.shape == (2,)
+        assert len(seen) > 1 and all(g.ndim == 1 and g.size % 21 == 0 for g in seen)
+        for k, (e, w) in ranges.items():
+            v1, e1 = gauss_kronrod_panels(lambda x: np.exp(-0.2 * x) * np.cos(w * x), e)
+            assert val[k] == pytest.approx(v1, rel=1e-15, abs=1e-15)
+            assert err[k] == pytest.approx(e1, rel=1e-6, abs=1e-15)
+
     def test_edges_must_increase(self):
         with pytest.raises(ValueError):
             gauss_kronrod_panels(np.sin, [0.0, 1.0, 1.0])
@@ -119,3 +139,18 @@ class TestOscillatoryTail:
         exact = np.exp((1j * w - r) * a) / (r - 1j * w)
         got, err = oscillatory_tail(lambda y: np.exp(-r * y), w, a)
         assert got == pytest.approx(exact, abs=1e-12)
+
+    def test_broadcast_matches_scalar_calls(self):
+        omega = np.array([1.0, 2.0, 3.5])
+        start = 4.0 * np.pi / omega
+        shapes = []
+
+        def phi(y):
+            shapes.append(y.shape)
+            return 1.0 / y
+
+        got, err = oscillatory_tail(phi, omega, start)
+        assert shapes == [(3, 48 * 16)] and got.shape == err.shape == (3,)
+        for k in range(3):
+            g1, e1 = oscillatory_tail(lambda y: 1.0 / y, omega[k], start[k])
+            assert got[k] == g1 and err[k] == e1

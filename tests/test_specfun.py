@@ -146,6 +146,18 @@ class TestFFamily:
             num = (f_family(z + h, p) - f_family(z - h, p)) / (2.0 * h)
             assert f_family_prime(z, p) == pytest.approx(num, rel=1e-7)
 
+    def test_derivative_matches_two_power_formula(self):
+        # f' forms z^{t-1} as z^t / z; the direct power z^{t-1} is the reference
+        rng = np.random.default_rng(11)
+        im = np.geomspace(1e-8, 1e6, 4000) * rng.choice([-1, 1], 4000)
+        z = rng.uniform(0.05, 2.0, 4000) + 1j * im
+        for alpha, t in ((0.3, 0.5), (0.3, 0.85), (0.1, 0.2), (0.5, 1.0), (0.45, 0.05)):
+            p = FamilyParams(alpha, t)
+            zt = z ** t
+            q = zt * zt + 2.0 * p.cos_pi_alpha * zt + 1.0
+            ref = -2.0 * t * z ** (t - 1.0) * (zt + p.cos_pi_alpha) / (q * q)
+            np.testing.assert_allclose(f_family_prime(z, p), ref, rtol=1e-13, atol=0.0)
+
 
 class TestPoleLocations:
     def test_no_poles_inside(self):
