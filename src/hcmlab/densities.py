@@ -133,11 +133,8 @@ def density_sqrt_gamma_product(x, t: float, s: float):
     if np.any(x <= 0.0):
         raise ValueError("density_sqrt_gamma_product requires x > 0")
     lognorm = (log_gamma(t) + log_gamma(s)).real
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    kvals = np.array([bessel_k(t - s, 2.0 * xi) for xi in xs])
-    out = 4.0 * np.exp((t + s - 1.0) * np.log(xs) - lognorm) * kvals
-    return float(out[0]) if scalar else out
+    out = 4.0 * np.exp((t + s - 1.0) * np.log(x) - lognorm) * bessel_k(t - s, 2.0 * x)
+    return float(out) if out.ndim == 0 else out
 
 
 def density_sqrt_Z_one_third(x):
@@ -145,12 +142,9 @@ def density_sqrt_Z_one_third(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("density_sqrt_Z_one_third requires x > 0")
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    arg = 2.0 / (3.0 * math.sqrt(3.0) * xs)
-    kvals = np.array([bessel_k(1.0 / 3.0, a) for a in arg])
-    out = 2.0 / (3.0 * math.pi * xs * xs) * kvals
-    return float(out[0]) if scalar else out
+    kvals = bessel_k(1.0 / 3.0, 2.0 / (3.0 * math.sqrt(3.0) * x))
+    out = 2.0 / (3.0 * math.pi * x * x) * kvals
+    return float(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .densities import cdf_T_alpha, density_sqrt_gamma_product
-from .monotone import ScanGrid, Verdict, cm_check_by_differences, FAIL, PASS
+from .monotone import ScanGrid, Verdict, cm_check_by_differences, FAIL, INCONCLUSIVE, PASS
 from .quadrature import QuadratureSpec, tanh_sinh
 from .specfun import bessel_k
 
@@ -296,17 +297,24 @@ _BESSEL_PRODUCT_QUAD = QuadratureSpec(abs_tol=1e-15, rel_tol=5e-14)
 def verify_bessel_product_formula(alpha: float, x: float, y: float,
                                   q: QuadratureSpec = _BESSEL_PRODUCT_QUAD,
                                   rel_tol: float = 1e-8) -> Verdict:
-    """Check K_a(x) K_a(y) = 2 cos(pi a) int_0^inf K_2a(2 sqrt(xy) sinh t) e^{-(x+y) cosh t} dt."""
+    """Check K_a(x) K_a(y) = 2 cos(pi a) int_0^inf K_2a(2 sqrt(xy) sinh t) e^{-(x+y) cosh t} dt.
+
+    x and y must be positive and finite.  When the left side underflows to
+    zero or a subnormal, the relative difference means nothing and the
+    verdict is INCONCLUSIVE.
+    """
     if not -0.5 < alpha < 0.5:
         raise ValueError("alpha must lie in (-1/2, 1/2)")
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("x, y must be positive")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise ValueError(f"x, y must be positive and finite, got {x}, {y}")
     lhs = bessel_k(alpha, x) * bessel_k(alpha, y)
+    if lhs < sys.float_info.min:  # zero or subnormal: no relative error to compare
+        return Verdict(INCONCLUSIVE, rel_tol, detail=f"lhs K_a(x) K_a(y) = {lhs:.3e} "
+                       "underflows double precision, so the relative difference is undefined")
     srt = 2.0 * math.sqrt(x * y)
 
     def integrand(ts):
-        return np.array([bessel_k(2.0 * alpha, srt * math.sinh(t)) *
-                         math.exp(-(x + y) * math.cosh(t)) for t in ts])
+        return bessel_k(2.0 * alpha, srt * np.sinh(ts)) * np.exp(-(x + y) * np.cosh(ts))
 
     upper = math.acosh(65.0 / (x + y) + 1.0) + 1.0
     rhs = 2.0 * math.cos(math.pi * alpha) * tanh_sinh(integrand, 0.0, upper, tol=q.rel_tol)

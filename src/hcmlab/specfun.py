@@ -129,30 +129,69 @@ def _log_cosh(u):
     return u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
 
 
-def bessel_k(nu: float, x: float, rtol: float = 1e-13) -> float:
-    """K_nu(x) for real order nu and x > 0.
+# Points per block of ``bessel_k``: a block's flattened (point, node) arrays
+# are the largest temporaries, so the block size bounds the memory of a call
+# on a long x array.
+BESSEL_BLOCK = 256
+
+
+def bessel_k(nu: float, x, rtol: float = 1e-13):
+    """K_nu(x) for real order nu and x > 0, elementwise over an array x.
 
     Computed by direct quadrature of the cosh integral representation,
     truncated once the integrand falls below ~1e-18 of the running scale.
-    Relative accuracy ~1e-13 for x in [1e-3, 50], |nu| <= 5; the
-    representation itself is valid for every real nu and is even in nu.
+    Every point keeps its own truncation and stopping rule; a scalar x
+    returns a float, an array x an array of the same shape.  Relative
+    accuracy ~1e-13 wherever K_nu(x) is a normal float, for x in
+    [3e-18, 700] and |nu| <= 2/3 (tested against mpmath), and ~1e-10 for
+    x in [1e-3, 50], |nu| <= 5 (tested against scipy); the representation
+    itself is valid for every real nu and is even in nu.  x = +inf gives
+    the limit 0.0.  Raises ValueError for a non-finite nu, or for an x that
+    is NaN, not positive, or so small that the truncation point overflows.
     """
-    if x <= 0.0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
+    if not math.isfinite(nu):
+        raise ValueError(f"bessel_k requires a finite order, got {nu}")
+    x = np.asarray(x, dtype=float)
+    bad = ~(x > 0.0)
+    if bad.any():
+        raise ValueError(f"bessel_k requires x > 0, got {x[bad].flat[0]}")
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, BESSEL_BLOCK):
+        out[i:i + BESSEL_BLOCK] = _bessel_k_block(nu, flat[i:i + BESSEL_BLOCK], rtol)
+    out = out.reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bessel_k_block(nu: float, x: np.ndarray, rtol: float) -> np.ndarray:
+    """Trapezoid sums for a 1-d block of x: one pass over the ragged
+    (point, node) set per halving level; converged points drop out."""
     # beyond ymax the integrand is below e^-60 of its scale
-    ymax = math.acosh(max(2.0, (60.0 + 5.0 * abs(nu)) / x)) + 2.0
-    h = 0.5
+    with np.errstate(over="ignore"):
+        ymax = np.arccosh(np.maximum(2.0, (60.0 + 5.0 * abs(nu)) / x)) + 2.0
+    if not np.all(np.isfinite(ymax)):
+        raise ValueError(f"bessel_k: x = {x[~np.isfinite(ymax)][0]} is too small")
+    s = np.empty(x.size)
+    live = np.arange(x.size)
     prev = None
-    s = 0.0
+    h = 0.5
     for _ in range(12):
-        y = np.arange(0.0, ymax + h, h)
-        vals = np.exp(_log_cosh(nu * y) - x * np.cosh(y))
-        s = h * (np.sum(vals) - 0.5 * vals[0])
-        if prev is not None and abs(s - prev) <= rtol * abs(s):
-            break
-        prev = s
+        n = np.ceil((ymax[live] + h) / h).astype(np.intp)  # len(arange(0, ymax + h, h))
+        first = np.cumsum(n) - n
+        row = np.repeat(np.arange(live.size), n)
+        col = np.arange(row.size) - first[row]
+        y = h * np.arange(n.max())
+        vals = np.exp(_log_cosh(nu * y)[col] - x[live][row] * np.cosh(y)[col])
+        cur = h * (np.bincount(row, vals, minlength=live.size) - 0.5 * vals[first])
+        s[live] = cur
+        if prev is not None:
+            going = ~(np.abs(cur - prev) <= rtol * np.abs(cur))
+            live, cur = live[going], cur[going]
+            if live.size == 0:
+                break
+        prev = cur
         h *= 0.5
-    return float(s)
+    return s
 
 
 # --------------------------------------------------------------------------

@@ -46,6 +46,21 @@ class TestExitCodes:
         assert verdict["status"] == "INCONCLUSIVE"
         assert "RuntimeError" in verdict["detail"] and "CDF table mass" in verdict["detail"]
 
+    @pytest.mark.parametrize("xy", [("800", "1"), ("400", "400")])
+    def test_bessel_product_underflow_is_inconclusive(self, capsys, xy):
+        code, rep = run_cli(capsys, "mc-verify", "--check", "bessel-product",
+                            "--alpha", "0.1", "--x", xy[0], "--y", xy[1])
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "bessel-product"
+        assert verdict["status"] == "INCONCLUSIVE" and "underflows" in verdict["detail"]
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-1"])
+    def test_bessel_product_bad_argument_is_usage(self, capsys, x):
+        code, _ = run_cli(capsys, "mc-verify", "--check", "bessel-product",
+                          "--alpha", "0.1", "--x", x)
+        assert code == EX_USAGE
+
     def test_head_panel_cap_is_inconclusive(self, capsys):
         code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5",
                             "--lambda", "1e8", "--c", "1e-6")

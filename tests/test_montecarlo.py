@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
 
+import hcmlab.montecarlo
 from hcmlab.densities import cdf_gamma
 from hcmlab.montecarlo import (KsReport, SampleSet, ks_statistic,
                                ks_statistic_two_sample, ks_threshold, sample_T_alpha,
                                sample_gamma, sample_positive_stable, verify_T_density,
                                verify_bessel_product_formula, verify_factorization_zinv,
                                verify_half_stable_gamma_identity, verify_kanter_cm,
-                               verify_sqrt_gamma_product_density, verify_stable_laplace)
+                               verify_sqrt_gamma_product_density, verify_stable_laplace,
+                               sqrt_gamma_product_cdf_table)
 from hcmlab.specfun import log_gamma
 
 N = 30_000  # module-test sample size; the acceptance suite runs the full 1e5
@@ -174,6 +177,45 @@ class TestBesselProduct:
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
             verify_bessel_product_formula(0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (1.0, -math.inf)])
+    def test_nonfinite_arguments_are_rejected(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            verify_bessel_product_formula(0.1, x, y)
+
+    @pytest.mark.parametrize("x,y", [(800.0, 1.0), (400.0, 400.0), (355.0, 355.0)])
+    def test_underflowed_lhs_is_inconclusive(self, x, y):
+        # K_a(x) K_a(y) is 0, or subnormal (2e-311 at 355), so a relative difference is undefined
+        v = verify_bessel_product_formula(0.1, x, y)
+        assert v.status == "INCONCLUSIVE" and "underflows" in v.detail
+
+    def test_one_bessel_call_per_level(self, monkeypatch):
+        # the two lhs values, then one array call per tanh_sinh level (at most 11)
+        calls = []
+        original = hcmlab.montecarlo.bessel_k
+
+        def counting(nu, x):
+            calls.append(np.size(x))
+            return original(nu, x)
+
+        monkeypatch.setattr(hcmlab.montecarlo, "bessel_k", counting)
+        assert verify_bessel_product_formula(1.0 / 6.0, 1.0, 2.0).passed
+        assert calls[:2] == [1, 1] and len(calls) <= 2 + 11
+        assert sum(calls[2:]) > len(calls) - 2
+
+
+class TestSqrtGammaCdfTable:
+    def test_peak_memory(self):
+        sqrt_gamma_product_cdf_table(1.0, 1.0)  # pays the scipy import outside the trace
+        tracemalloc.start()
+        try:
+            x, cdf = sqrt_gamma_product_cdf_table(1.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+        assert abs(cdf[-1] - 1.0) <= 1e-5
 
 
 class TestKanterCm:

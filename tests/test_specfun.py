@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kv, loggamma as scipy_loggamma
 
-from hcmlab.specfun import (FamilyParams, bessel_k, f_family, f_family_prime,
+from hcmlab.specfun import (BESSEL_BLOCK, FamilyParams, bessel_k, f_family, f_family_prime,
                             log_gamma, p_alpha, pole_locations)
 
 
@@ -86,6 +88,68 @@ class TestBesselK:
             for x in (1e-3, 0.05, 1.0, 10.0, 50.0):
                 ref = kv(nu, x)
                 assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("nu,x", [(0.3, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                      (0.3, np.array([1.0, 2.0, math.nan])),
+                                      (0.3, np.array([[1.0, -2.0]])), (0.0, 1e-308)])
+    def test_nan_and_bad_elements_raise(self, nu, x):
+        with pytest.raises(ValueError):
+            bessel_k(nu, x)
+
+    def test_infinite_x_is_the_limit(self):
+        assert bessel_k(0.3, math.inf) == 0.0
+        got = bessel_k(0.3, np.array([math.inf, 1.0]))
+        assert got[0] == 0.0 and got[1] == bessel_k(0.3, 1.0)
+
+    def test_array_path_against_mpmath(self):
+        # from the smallest nodes 2 xi^5 of the sqrt(gamma_1 gamma_1) CDF table up to 700
+        mpmath = pytest.importorskip("mpmath")
+        xi = np.linspace(0.0, 11.0 ** 0.2, 6001)[1:4]
+        xs = np.concatenate([2.0 * xi ** 5, np.geomspace(1e-12, 700.0, 37)])
+        for nu in (0.0, 1.0 / 6.0, 1.0 / 3.0, -1.0 / 3.0, 0.5, 2.0 / 3.0):
+            got = bessel_k(nu, xs)
+            with mpmath.workdps(30):
+                ref = np.array([float(mpmath.besselk(nu, mpmath.mpf(x))) for x in xs])
+            normal = ref >= np.finfo(float).tiny
+            assert normal.sum() >= len(xs) - 1
+            rel = np.abs(got - ref)[normal] / ref[normal]
+            assert np.all(rel <= 1e-13), (nu, rel.max())
+
+
+_X = st.floats(-12.0, 2.8).map(lambda e: 10.0 ** e)
+
+
+class TestBesselKArray:
+    """An array x is one call of the same code; each value is the scalar call's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.lists(_X, min_size=1, max_size=12))
+    def test_array_equals_scalar_calls(self, nu, xs):
+        got = bessel_k(nu, np.array(xs))
+        for x, gx in zip(xs, got):
+            one = bessel_k(nu, x)
+            assert isinstance(one, float)
+            assert abs(gx - one) <= 1e-14 * abs(one)
+
+    def test_shapes(self):
+        assert isinstance(bessel_k(0.2, np.float64(1.5)), float)
+        assert isinstance(bessel_k(0.2, np.array(1.5)), float)
+        x = np.geomspace(0.1, 10.0, 6).reshape(2, 3)
+        got = bessel_k(0.2, x)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), bessel_k(0.2, x.ravel()))
+        empty = bessel_k(0.2, np.zeros(0))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.integers(BESSEL_BLOCK + 1, 3 * BESSEL_BLOCK),
+           st.integers(1, 2 * BESSEL_BLOCK))
+    def test_blocks_equal_pieces(self, nu, n, cut):
+        x = np.geomspace(1e-10, 300.0, n)
+        cut = min(cut, n - 1)
+        whole = bessel_k(nu, x)
+        assert np.array_equal(whole, np.concatenate([bessel_k(nu, x[:cut]),
+                                                     bessel_k(nu, x[cut:])]))
 
 
 class TestPAlpha:
