@@ -19,7 +19,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from .laplace import invert_grid
-from .monotone import (INCONCLUSIVE, PASS, InconclusiveError, ScanGrid, Verdict,
+from .monotone import (FAIL, INCONCLUSIVE, PASS, InconclusiveError, ScanGrid, Verdict,
                        cm_check_by_differences, cm_check_by_inversion,
                        estimate_critical_t, hcm_check_family)
 from .pick import HalfPlaneScan, figure2_data, ggc_pick_scan, write_figure2_csv
@@ -49,7 +49,7 @@ class RunReport:
             })
         elif isinstance(verdict, mc.KsReport):
             self.verdicts.append({
-                "name": name, "status": PASS if verdict.passed else "FAIL",
+                "name": name, "status": PASS if verdict.passed else FAIL,
                 "tolerance": verdict.threshold, "statistic": verdict.statistic,
                 "n": verdict.n, "detail": verdict.label,
             })
@@ -58,7 +58,7 @@ class RunReport:
 
     def exit_code(self) -> int:
         statuses = [v["status"] for v in self.verdicts]
-        if any(s == "FAIL" for s in statuses):
+        if any(s == FAIL for s in statuses):
             return 1
         if any(s == INCONCLUSIVE for s in statuses):
             return 2
@@ -294,7 +294,7 @@ def _run_invert(args, report: RunReport):
         # a gap is certified only once both routes' own error estimates are taken off it
         slack = rows["bromwich"].est_error + rows["branch_cut"].est_error
         status = (PASS if gap <= _INVERT_TOL else
-                  "FAIL" if gap - slack > _INVERT_TOL else INCONCLUSIVE)
+                  FAIL if gap - slack > _INVERT_TOL else INCONCLUSIVE)
         report.add("method_agreement", Verdict(status, _INVERT_TOL, witness=(float(lams[int(np.argmax(np.abs(a - b)))]), gap),
                                                detail=f"max |bromwich - branch_cut| = {gap:.3e}, "
                                                       f"summed est_error {slack:.3e}"))

@@ -14,7 +14,8 @@ c x^a prod (1 + c_i x)^{-b_i} whose pointwise limits exhaust the HCM class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -198,7 +199,6 @@ class DensitySpec:
 
     kind: str
     params: tuple = ()
-    _norm_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -215,23 +215,22 @@ class DensitySpec:
         if self.kind == "sqrt_Z_one_third":
             return density_sqrt_Z_one_third(x)
         alpha, t = self.params
-        z = self._f_norm()
+        z = self._f_norm
         p = FamilyParams(alpha, t)
         x = np.asarray(x, dtype=float)
         out = np.asarray(f_family(x.astype(complex), p)).real / z
         return float(out) if out.ndim == 0 else out
 
+    @cached_property
     def _f_norm(self) -> float:
-        if "norm" not in self._norm_cache:
-            alpha, t = self.params
-            if 2.0 * t <= 1.0:
-                raise ValueError("f_family mass is infinite for t <= 1/2")
-            p = FamilyParams(alpha, t)
-            g = lambda x: np.real(f_family(complex(x), p))
-            v1, _ = quad_checked(g, 0.0, 1.0)
-            v2, _ = quad_checked(lambda u: g(math.exp(u)) * math.exp(u), 0.0, 60.0 / (2 * t - 1))
-            self._norm_cache["norm"] = v1 + v2
-        return self._norm_cache["norm"]
+        alpha, t = self.params
+        if 2.0 * t <= 1.0:
+            raise ValueError("f_family mass is infinite for t <= 1/2")
+        p = FamilyParams(alpha, t)
+        g = lambda x: np.real(f_family(complex(x), p))
+        v1, _ = quad_checked(g, 0.0, 1.0)
+        v2, _ = quad_checked(lambda u: g(math.exp(u)) * math.exp(u), 0.0, 60.0 / (2 * t - 1))
+        return v1 + v2
 
     def mass(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         """Total integral over (0, inf), computed by adaptive quadrature."""

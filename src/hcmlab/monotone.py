@@ -201,19 +201,20 @@ def cm_check_by_differences(f, grid: ScanGrid | None = None, order: int = 8,
 # --------------------------------------------------------------------------
 
 def sign_change_lemma_check(h, x0_bracket, q: QuadratureSpec = DEFAULT_QUAD,
-                            lam_grid: ScanGrid | None = None,
-                            tol: float = 1e-6, scan_n: int = 400) -> Verdict:
+                            tol: float = 1e-6) -> Verdict:
     """Check both the hypothesis and the conclusion of the sign-change lemma.
 
     Hypothesis: h has exactly one sign change x0 inside the bracket
-    (negative before, positive after).  Conclusion: if the total integral
-    of h is <= 0 then every e^{-lam x}-weighted integral is <= 0.
-    Raises SignChangeError when the scan finds more than one change.
+    (negative before, positive after), scanned on 400 geometric points.
+    Conclusion: if the total integral of h is <= 0 then every
+    e^{-lam x}-weighted integral is <= 0, checked at 9 geometric lam in
+    [1e-2, 1e2].  Raises SignChangeError when the scan finds more than one
+    change.
     """
     lo, hi = x0_bracket
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    xs = np.geomspace(lo, hi, scan_n)
+    xs = np.geomspace(lo, hi, 400)
     vals = np.array([h(x) for x in xs])
     signs = np.sign(vals)
     signs[signs == 0.0] = 1.0
@@ -234,10 +235,9 @@ def sign_change_lemma_check(h, x0_bracket, q: QuadratureSpec = DEFAULT_QUAD,
         raise SignChangeError("sign pattern is not negative-then-positive")
 
     total = (quad_checked(h, 0.0, x0, q)[0] + quad_checked(h, x0, np.inf, q)[0])
-    if lam_grid is None:
-        lam_grid = ScanGrid(1e-2, 1e2, 9)
+    lams = np.geomspace(1e-2, 1e2, 9)
     offenders = []
-    for lam in lam_grid.points():
+    for lam in lams:
         v = (quad_checked(lambda x: h(x) * math.exp(-lam * x), 0.0, x0, q)[0]
              + quad_checked(lambda x: h(x) * math.exp(-lam * x), x0, x0 + 80.0 / lam, q)[0])
         if v > tol:
@@ -251,7 +251,7 @@ def sign_change_lemma_check(h, x0_bracket, q: QuadratureSpec = DEFAULT_QUAD,
                        detail=f"weighted integral positive at lam = {lam:.4g}")
     return Verdict(PASS, tol, detail=(
         f"single sign change at x0 = {x0:.6g}; total integral {total:.3e} <= {tol:.1e}; "
-        f"all {lam_grid.n} weighted integrals <= {tol:.1e}"))
+        f"all {lams.size} weighted integrals <= {tol:.1e}"))
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +309,8 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
     Failure routes, in order of robustness:
 
     1. poles of the analytic continuation off the negative axis
-       (present iff t > 1 - alpha, located exactly at e^{+-i(1-alpha)pi/t});
+       (present iff t > 1 - alpha; the witness is the principal pole
+       e^{i(1-alpha)pi/t}, first in ``pole_locations``);
     2. local increase at 0+ (present iff alpha > 1/2), certified by a
        first difference;
     3. the black-box battery of ``hcm_check``.
@@ -317,13 +318,12 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
     Routes 1 and 2 are the analytic obstructions; they certify failures
     the battery cannot see numerically.
     """
-    if 0.0 < p.alpha < 1.0 and p.t > 0.0:
-        poles = pole_locations(p)
-        if poles:
-            z = max(poles, key=lambda w: w.imag)
-            return Verdict(FAIL, tol, witness=((z.real, z.imag), 0.0),
-                           detail=(f"analytic continuation has poles e^(+-i(1-alpha)pi/t) "
-                                   f"at {z:.12g}; an HCM function is pole-free off the cut"))
+    poles = pole_locations(p)
+    if poles:
+        z = poles[0]
+        return Verdict(FAIL, tol, witness=((z.real, z.imag), 0.0),
+                       detail=(f"analytic continuation has poles e^(+-i(1-alpha)pi/t) "
+                               f"at {z:.12g}; an HCM function is pole-free off the cut"))
     fx = lambda x: np.real(f_family(np.asarray(x, dtype=complex), p))
     if p.cos_pi_alpha < 0.0:
         slope = cm_check_by_differences(fx, ScanGrid(1e-6, 1e-2, 5), order=1,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .densities import cdf_T_alpha, density_sqrt_gamma_product
 from .monotone import ScanGrid, Verdict, cm_check_by_differences, FAIL, INCONCLUSIVE, PASS
-from .quadrature import QuadratureSpec, tanh_sinh
+from .quadrature import tanh_sinh
 from .specfun import bessel_k
 
 __all__ = [
@@ -203,12 +203,11 @@ def _report(stat: float, n: int, thr: float, label: str) -> KsReport:
 # Identity verifiers
 # --------------------------------------------------------------------------
 
-def verify_T_density(alpha: float, sample_n: int = 100_000, seed: int = 42,
-                     level: float = 0.01) -> KsReport:
-    """KS of T-samples against the closed-form drifted-Cauchy CDF."""
+def verify_T_density(alpha: float, sample_n: int = 100_000, seed: int = 42) -> KsReport:
+    """KS of T-samples against the closed-form drifted-Cauchy CDF, 1% level."""
     s = sample_T_alpha(alpha, sample_n, seed)
     stat = ks_statistic(s.values, lambda x: cdf_T_alpha(x, alpha))
-    return _report(stat, sample_n, ks_threshold(sample_n, level),
+    return _report(stat, sample_n, ks_threshold(sample_n),
                    f"T density, alpha={alpha}")
 
 
@@ -234,19 +233,17 @@ def verify_stable_laplace(alpha: float, lambdas=(0.25, 1.0, 4.0),
     return Verdict(FAIL, n_sigma, witness=(lam, dev), detail=detail)
 
 
-def verify_half_stable_gamma_identity(sample_n: int = 100_000, seed: int = 42,
-                                      level: float = 0.01) -> KsReport:
-    """Two-sample KS for Z_{1/2} = 1/(4 gamma_{1/2}) in distribution."""
+def verify_half_stable_gamma_identity(sample_n: int = 100_000, seed: int = 42) -> KsReport:
+    """Two-sample KS for Z_{1/2} = 1/(4 gamma_{1/2}) in distribution, 1% level."""
     z = sample_positive_stable(0.5, sample_n, seed)
     g = sample_gamma(0.5, sample_n, seed + 1)
     stat = ks_statistic_two_sample(z.values, 1.0 / (4.0 * g.values))
-    return _report(stat, sample_n, ks_threshold(sample_n, level, m=sample_n),
+    return _report(stat, sample_n, ks_threshold(sample_n, m=sample_n),
                    "Z_(1/2) against 1/(4 gamma_(1/2))")
 
 
-def verify_factorization_zinv(n_gamma: int, sample_n: int = 100_000, seed: int = 42,
-                              level: float = 0.01) -> KsReport:
-    """Two-sample KS for 1/Z_{1/n} = n^n gamma_{1/n} x ... x gamma_{(n-1)/n}."""
+def verify_factorization_zinv(n_gamma: int, sample_n: int = 100_000, seed: int = 42) -> KsReport:
+    """Two-sample KS for 1/Z_{1/n} = n^n gamma_{1/n} x ... x gamma_{(n-1)/n}, 1% level."""
     if n_gamma not in (2, 3, 4):
         raise ValueError("n_gamma must be 2, 3 or 4")
     z = sample_positive_stable(1.0 / n_gamma, sample_n, seed)
@@ -254,7 +251,7 @@ def verify_factorization_zinv(n_gamma: int, sample_n: int = 100_000, seed: int =
     for k in range(1, n_gamma):
         prod = prod * sample_gamma(k / n_gamma, sample_n, seed + k).values
     stat = ks_statistic_two_sample(1.0 / z.values, prod)
-    return _report(stat, sample_n, ks_threshold(sample_n, level, m=sample_n),
+    return _report(stat, sample_n, ks_threshold(sample_n, m=sample_n),
                    f"1/Z_(1/{n_gamma}) against {n_gamma}^{n_gamma} gamma product")
 
 
@@ -278,8 +275,8 @@ def sqrt_gamma_product_cdf_table(t: float, s: float, hi: float | None = None,
 
 
 def verify_sqrt_gamma_product_density(t: float, s: float, sample_n: int = 100_000,
-                                      seed: int = 42, level: float = 0.01) -> KsReport:
-    """KS of sqrt(gamma_t gamma_s) samples against the Bessel-density CDF."""
+                                      seed: int = 42) -> KsReport:
+    """KS of sqrt(gamma_t gamma_s) samples against the Bessel-density CDF, 1% level."""
     a = sample_gamma(t, sample_n, seed)
     b = sample_gamma(s, sample_n, seed + 1)
     vals = np.sqrt(a.values * b.values)
@@ -287,21 +284,18 @@ def verify_sqrt_gamma_product_density(t: float, s: float, sample_n: int = 100_00
     if abs(cg[-1] - 1.0) > 1e-5:
         raise RuntimeError(f"CDF table mass {cg[-1]} not within 1e-5 of 1")
     stat = ks_statistic(vals, lambda x: np.interp(x, xg, cg, left=0.0, right=1.0))
-    return _report(stat, sample_n, ks_threshold(sample_n, level),
+    return _report(stat, sample_n, ks_threshold(sample_n),
                    f"sqrt(gamma_{t} gamma_{s}) density")
 
 
-_BESSEL_PRODUCT_QUAD = QuadratureSpec(abs_tol=1e-15, rel_tol=5e-14)
-
-
 def verify_bessel_product_formula(alpha: float, x: float, y: float,
-                                  q: QuadratureSpec = _BESSEL_PRODUCT_QUAD,
                                   rel_tol: float = 1e-8) -> Verdict:
     """Check K_a(x) K_a(y) = 2 cos(pi a) int_0^inf K_2a(2 sqrt(xy) sinh t) e^{-(x+y) cosh t} dt.
 
-    x and y must be positive and finite.  When the left side underflows to
-    zero or a subnormal, the relative difference means nothing and the
-    verdict is INCONCLUSIVE.
+    The integral is taken by tanh-sinh to 5e-14, with e^{-(x+y)} pulled out
+    so that the rule's absolute floor cannot end it early.  x and y must be
+    positive and finite.  INCONCLUSIVE when K_a(x) K_a(y) underflows to zero
+    or a subnormal, or when 2 sqrt(xy) sinh t underflows at the smallest nodes.
     """
     if not -0.5 < alpha < 0.5:
         raise ValueError("alpha must lie in (-1/2, 1/2)")
@@ -314,10 +308,18 @@ def verify_bessel_product_formula(alpha: float, x: float, y: float,
     srt = 2.0 * math.sqrt(x * y)
 
     def integrand(ts):
-        return bessel_k(2.0 * alpha, srt * np.sinh(ts)) * np.exp(-(x + y) * np.cosh(ts))
+        arg = srt * np.sinh(ts)
+        if arg.min() < 1e-300:  # bessel_k takes x >= ~4e-307 only
+            raise FloatingPointError(f"K_2a argument 2 sqrt(xy) sinh t = {arg.min():.3e} "
+                                     "underflows at the smallest tanh-sinh nodes")
+        return bessel_k(2.0 * alpha, arg) * np.exp(-(x + y) * (np.cosh(ts) - 1.0))
 
     upper = math.acosh(65.0 / (x + y) + 1.0) + 1.0
-    rhs = 2.0 * math.cos(math.pi * alpha) * tanh_sinh(integrand, 0.0, upper, tol=q.rel_tol)
+    try:
+        scaled = tanh_sinh(integrand, 0.0, upper, tol=5e-14)
+    except FloatingPointError as exc:
+        return Verdict(INCONCLUSIVE, rel_tol, detail=str(exc))
+    rhs = 2.0 * math.cos(math.pi * alpha) * scaled * math.exp(-(x + y))
     rel = abs(lhs - rhs) / abs(lhs)
     detail = f"lhs {lhs:.12e}, rhs {rhs:.12e}, rel diff {rel:.2e}"
     if rel <= rel_tol:

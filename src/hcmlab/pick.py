@@ -38,13 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HalfPlaneScan:
-    """Where to sample h: horizontal lines, plus optionally the negative axis."""
+    """Where to sample h: horizontal lines (the negative axis is always scanned too)."""
 
     re_range: tuple = (-50.0, 50.0)
     im_levels: tuple = (0.01, 0.1, 1.0, 10.0)
     n_per_level: int = 2000
-    include_negative_axis: bool = True
-    rho_grid: ScanGrid = ScanGrid(1e-4, 1e4, 400)
 
     def __post_init__(self):
         if any(v <= 0.0 for v in self.im_levels):
@@ -99,19 +97,18 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
                   tol: float = 1e-6) -> Verdict:
     """Scan h over the upper half-plane; PASS iff pole-free and min h >= -tol.
 
-    An immediate FAIL (with the pole pair as witness) is returned when the
-    continuation has poles, i.e. when t > 1 - alpha.  Otherwise the
-    verdict records the scanned minimum; the analytic value of the true
-    infimum is 0.
+    An immediate FAIL (with the principal pole, first in ``pole_locations``,
+    as witness) is returned when the continuation has poles, i.e. when
+    t > 1 - alpha.  Otherwise the verdict records the scanned minimum; the
+    analytic value of the true infimum is 0.
     """
-    if 0.0 < p.alpha < 1.0 and p.t > 0.0:
-        poles = pole_locations(p)
-        if poles:
-            z = max(poles, key=lambda w: w.imag)
-            return Verdict(FAIL, tol, witness=((z.real, z.imag), 0.0),
-                           detail=f"continuation of f has poles at {z:.12g} and conjugate; "
-                                  "a GGC Laplace transform continues pole- and zero-free "
-                                  "off the negative axis")
+    poles = pole_locations(p)
+    if poles:
+        z = poles[0]
+        return Verdict(FAIL, tol, witness=((z.real, z.imag), 0.0),
+                       detail=f"continuation of f has poles at {z:.12g} and conjugate; "
+                              "a GGC Laplace transform continues pole- and zero-free "
+                              "off the negative axis")
     lo, hi = scan.re_range
     re = np.linspace(lo, hi, scan.n_per_level)
     m = math.inf
@@ -122,18 +119,17 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
         if hs[i] < m:
             m = float(hs[i])
             marg = (float(re[i]), float(level))
-    if scan.include_negative_axis:
-        rho = scan.rho_grid.points()
-        if p.alpha + p.eps < 0.5 and 0.0 < p.alpha < 0.5 and p.eps > 0.0:
-            hb = h_negative_axis(rho, p)
-        else:
-            # boundary approached from just above the cut
-            x = rho ** (1.0 / p.t)
-            hb = h_value(x * np.exp(1j * (math.pi - 1e-8)), p)
-        i = int(np.argmin(hb))
-        if hb[i] < m:
-            m = float(hb[i])
-            marg = (float(-(rho[i] ** (1.0 / p.t))), 0.0)
+    rho = np.geomspace(1e-4, 1e4, 400)
+    if p.alpha + p.eps < 0.5 and 0.0 < p.alpha < 0.5 and p.eps > 0.0:
+        hb = h_negative_axis(rho, p)
+    else:
+        # boundary approached from just above the cut
+        x = rho ** (1.0 / p.t)
+        hb = h_value(x * np.exp(1j * (math.pi - 1e-8)), p)
+    i = int(np.argmin(hb))
+    if hb[i] < m:
+        m = float(hb[i])
+        marg = (float(-(rho[i] ** (1.0 / p.t))), 0.0)
     if m >= -tol:
         return Verdict(PASS, tol, witness=(marg, m),
                        detail=f"scanned minimum m_hat = {m:.3e} >= -{tol:.1e} "

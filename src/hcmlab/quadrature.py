@@ -38,7 +38,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
     max_subdivisions: int = 400
-    truncation_threshold: float = 1e-16
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
@@ -181,13 +180,13 @@ def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD, group=No
 _TS_UMAX = 6.1  # beyond this the weights are ~e^-700
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 10):
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
     """Integrate a vectorized callable on (a, b) by the tanh-sinh rule.
 
     ``f`` receives an ndarray of abscissae strictly inside (a, b) and must
     return the integrand values; integrable endpoint singularities are
-    fine.  The level is doubled until two refinements agree to ``tol``
-    (mixed absolute/relative).
+    fine.  The step is halved, at most ten times, until two refinements
+    agree to ``tol`` (mixed absolute/relative).
 
     Abscissae are generated as offsets from the nearest endpoint, which is
     exact when that endpoint is 0; a singularity at a nonzero endpoint is
@@ -197,7 +196,7 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 10):
     d = 0.5 * (b - a)
     total = 0.0
     prev = None
-    for level in range(max_level + 1):
+    for level in range(11):
         h = 0.5 ** level
         kmax = int(math.floor(_TS_UMAX / h))
         k = np.arange(-kmax, kmax + 1)
@@ -227,12 +226,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 TAIL_PANELS = 48
 
 
-def oscillatory_tail(phi, omega, start, npanels: int = TAIL_PANELS):
+def oscillatory_tail(phi, omega, start):
     """int_start^inf e^{i omega y} phi(y) dy for smooth, decaying phi.
 
+    Sums ``TAIL_PANELS`` half-period panels of 16 Gauss-Legendre nodes.
     ``start`` must be a multiple of pi/omega so consecutive panels carry
     alternating phase.  ``omega`` and ``start`` broadcast: for arrays of
-    shape S, ``phi`` is called once, on an ndarray of shape S + (16 npanels,)
+    shape S, ``phi`` is called once, on an ndarray of shape S + (16 TAIL_PANELS,)
     whose leading index follows omega and start, and the value and error
     come back with shape S.  With scalars ``phi`` receives a 1-d ndarray.
     Returns (value, error_estimate).
@@ -240,7 +240,7 @@ def oscillatory_tail(phi, omega, start, npanels: int = TAIL_PANELS):
     omega, start = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                        np.asarray(start, dtype=float))
     w = (np.pi / omega)[..., None]
-    edges = start[..., None] + w * np.arange(npanels + 1)
+    edges = start[..., None] + w * np.arange(TAIL_PANELS + 1)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     ys = mid[..., None] + (0.5 * w[..., None]) * _GL_NODES
     flat = ys.reshape(omega.shape + (-1,))

@@ -46,7 +46,7 @@ class FamilyParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.t < 0.0:
+        if not self.t >= 0.0:
             raise ValueError(f"t must be >= 0, got {self.t}")
 
     @property
@@ -240,14 +240,26 @@ def f_family_prime(z, p: FamilyParams):
 
 
 def pole_locations(p: FamilyParams) -> list:
-    """Poles of the continuation of f on the cut plane.
+    """Every pole of the continuation of f on the cut plane, for alpha in [0, 1].
 
-    Empty iff t <= 1 - alpha; otherwise the conjugate pair
-    e^{+-i(1-alpha)pi/t}, which has argument strictly inside (-pi, pi).
+    The poles are the z = e^{i m pi/t} with m = 2k +- (1 - alpha) and
+    |m| < t, so |arg z| < pi, each listed once.  Empty iff t <= 1 - alpha
+    (t = 0 included).  Otherwise the principal pole e^{i(1-alpha)pi/t}
+    comes first, with the largest real part and Im >= 0, then its
+    conjugate, then the further pairs by increasing |arg z| (from
+    t > 1 + alpha on).  At alpha = 1 the principal pole is z = 1.  There
+    are about t poles, so t above 1e4 raises ValueError.
     """
-    if not (0.0 < p.alpha < 1.0) or p.t <= 0.0:
-        raise ValueError("pole_locations requires alpha in (0,1) and t > 0")
     if p.t <= 1.0 - p.alpha:
         return []
-    theta = (1.0 - p.alpha) * math.pi / p.t
-    return [cmath.exp(1j * theta), cmath.exp(-1j * theta)]
+    if p.t > 1e4:
+        raise ValueError(f"pole_locations lists about t poles; t = {p.t} is above 1e4")
+    ms = sorted({2.0 * k + s for k in range(int(p.t // 2.0) + 1)
+                 for s in (1.0 - p.alpha, 1.0 + p.alpha)})
+    poles = []
+    for m in ms:
+        if m >= p.t:
+            break
+        theta = m * math.pi / p.t
+        poles += [cmath.exp(1j * theta), cmath.exp(-1j * theta)] if m > 0.0 else [1.0 + 0j]
+    return poles

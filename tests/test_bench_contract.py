@@ -1,0 +1,47 @@
+"""What the benchmark in perfbench/ reads of hcmlab, checked without running it.
+
+The benchmark wraps the functions named in ``perfbench/tracing.TARGETS`` by
+module and name, recomputes the default Bromwich abscissa, and reads the
+fields of ``KsReport`` and ``Verdict``.  A refactor that renames any of them
+breaks a benchmark run; these tests make it break the suite first.  Nothing
+under perfbench/ is changed.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+import hcmlab
+from hcmlab.montecarlo import KsReport
+from hcmlab.monotone import Verdict
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)  # standard library only at import
+    return mod
+
+
+def test_every_traced_target_resolves():
+    targets = _tracing().TARGETS
+    assert targets
+    for module, name, _, _ in targets:
+        assert callable(getattr(importlib.import_module(f"hcmlab.{module}"), name)), (module, name)
+
+
+def test_default_abscissa_exists():
+    assert callable(hcmlab.laplace.default_abscissa)
+
+
+def test_ks_report_fields():
+    fields = {f.name for f in dataclasses.fields(KsReport)}
+    assert {"statistic", "threshold", "passed"} <= fields
+
+
+def test_verdict_fields():
+    v = Verdict("FAIL", 1e-9, witness=(1.0, -1.0), detail="d")
+    assert (v.status, v.witness, v.passed, v.failed, v.detail) == ("FAIL", (1.0, -1.0), False, True, "d")

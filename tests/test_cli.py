@@ -55,6 +55,15 @@ class TestExitCodes:
         assert verdict["name"] == "bessel-product"
         assert verdict["status"] == "INCONCLUSIVE" and "underflows" in verdict["detail"]
 
+    def test_bessel_argument_underflow_is_inconclusive(self, capsys):
+        # 2 sqrt(xy) sinh t underflows at the smallest nodes: a numerical, not a usage, failure
+        code, rep = run_cli(capsys, "mc-verify", "--check", "bessel-product",
+                            "--alpha", "0.3", "--x", "1e-300", "--y", "1")
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "bessel-product"
+        assert verdict["status"] == "INCONCLUSIVE" and "underflows" in verdict["detail"]
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-1"])
     def test_bessel_product_bad_argument_is_usage(self, capsys, x):
         code, _ = run_cli(capsys, "mc-verify", "--check", "bessel-product",

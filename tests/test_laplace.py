@@ -36,6 +36,13 @@ class TestLaplaceForward:
 
 
 class TestBromwich:
+    @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0])
+    def test_alpha_zero_clears_every_pole(self, lam):
+        # f = 1/(1 + s^3)^2; g is the sum of its three double-pole residues
+        roots = [complex(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in (1, 3, 5)]
+        ref = sum(np.exp(lam * s) * (lam - 2.0 / s) / (9.0 * s ** 4) for s in roots).real
+        assert bromwich_invert(FamilyParams(0.0, 3.0), lam) == pytest.approx(ref, rel=1e-9)
+
     def test_half_alpha_t_one(self):
         p = FamilyParams(0.5, 1.0)
         lam = 0.5 * math.pi

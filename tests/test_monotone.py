@@ -159,6 +159,13 @@ class TestHcmCheck:
         assert re == pytest.approx(math.cos(theta), abs=1e-12)
         assert abs(im) == pytest.approx(math.sin(theta), abs=1e-12)
 
+    @pytest.mark.parametrize("alpha,t", [(0.3, 1.5), (0.0, 3.0)])
+    def test_family_pole_witness_is_principal_pole(self, alpha, t):
+        v = hcm_check_family(FamilyParams(alpha, t))
+        assert v.failed and "poles" in v.detail
+        theta = (1.0 - alpha) * math.pi / t
+        assert v.witness == (pytest.approx((math.cos(theta), math.sin(theta)), abs=1e-15), 0.0)
+
     def test_family_alpha_above_half_fails(self):
         v = hcm_check_family(FamilyParams(0.6, 0.3))
         assert v.failed

@@ -174,6 +174,18 @@ class TestBesselProduct:
         v = verify_bessel_product_formula(alpha, x, y)
         assert v.passed, v.detail
 
+    @pytest.mark.parametrize("alpha", [0.4, 0.35])
+    def test_tiny_integral_is_resolved(self, alpha):
+        # K_a(20) K_a(30) ~ 1e-23: the integral is taken with e^{-(x+y)} pulled out
+        v = verify_bessel_product_formula(alpha, 20.0, 30.0)
+        assert v.passed, v.detail
+        assert v.witness[1] < 1e-13
+
+    @pytest.mark.parametrize("x,y", [(1e-300, 1.0), (1e-65, 1.0)])
+    def test_underflowed_bessel_argument_is_inconclusive(self, x, y):
+        v = verify_bessel_product_formula(0.3, x, y)
+        assert v.status == "INCONCLUSIVE" and "underflows" in v.detail
+
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
             verify_bessel_product_formula(0.5, 1.0, 1.0)

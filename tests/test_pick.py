@@ -106,6 +106,13 @@ class TestGgcPickScan:
         assert re == pytest.approx(math.cos(theta), abs=1e-10)
         assert im == pytest.approx(math.sin(theta), abs=1e-10)
 
+    @pytest.mark.parametrize("alpha,t", [(0.3, 1.5), (0.0, 3.0)])
+    def test_pole_witness_is_principal_pole(self, alpha, t):
+        v = ggc_pick_scan(FamilyParams(alpha, t))
+        assert v.failed and "poles" in v.detail
+        theta = (1.0 - alpha) * math.pi / t
+        assert v.witness == (pytest.approx((math.cos(theta), math.sin(theta)), abs=1e-15), 0.0)
+
     def test_alpha_above_half_fails_by_negative_h(self):
         v = ggc_pick_scan(FamilyParams(0.6, 0.3))
         assert v.failed

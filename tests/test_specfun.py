@@ -25,6 +25,10 @@ class TestFamilyParams:
         with pytest.raises(ValueError):
             FamilyParams(alpha, t)
 
+    def test_nan_t_is_rejected(self):
+        with pytest.raises(ValueError):
+            FamilyParams(0.3, math.nan)
+
 
 class TestLogGamma:
     def test_at_one(self):
@@ -241,3 +245,39 @@ class TestPoleLocations:
         for z in pole_locations(p):
             # approach the pole: |f| blows up
             assert abs(f_family(z * (1.0 + 1e-6), p)) > 1e4
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 4.0))
+    def test_every_pole_listed_once_principal_first(self, alpha, t):
+        p = FamilyParams(alpha, t)
+        poles = pole_locations(p)
+        assert (poles == []) == (t <= 1.0 - alpha)
+        assert len(set(poles)) == len(poles)
+        for z in poles:
+            assert z.imag != 0.0 or z.real > 0.0  # |arg z| < pi: off the cut
+            zt = complex(np.asarray(z) ** t)
+            assert abs(p_alpha(zt, alpha)) <= 1e-12 * (1.0 + abs(zt)) ** 2
+            assert min(abs(w - z.conjugate()) for w in poles) <= 1e-15
+        if poles:
+            assert poles[0].imag >= 0.0
+            assert all(poles[0].real >= z.real for z in poles)
+
+    def test_four_poles_past_one_plus_alpha(self):
+        # 1 + alpha < t: the second pair m = 1 + alpha joins the principal one
+        poles = pole_locations(FamilyParams(0.3, 1.5))
+        expect = [math.pi * m / 1.5 for m in (0.7, -0.7, 1.3, -1.3)]
+        assert len(poles) == 4
+        for z, theta in zip(poles, expect):
+            assert z == pytest.approx(complex(math.cos(theta), math.sin(theta)), abs=1e-15)
+
+    def test_huge_t_is_refused(self):
+        # about t poles: t = inf (or 1e9) would build an endless (or 1e9-long) list
+        for t in (2e4, math.inf):
+            with pytest.raises(ValueError, match="above 1e4"):
+                pole_locations(FamilyParams(0.3, t))
+
+    def test_alpha_zero_has_no_duplicate_poles(self):
+        # m = 2k +- 1 hits each odd integer twice; s^3 = -1 lists e^{+-i pi/3} only
+        poles = pole_locations(FamilyParams(0.0, 3.0))
+        assert poles == pytest.approx([complex(0.5, math.sqrt(3.0) / 2.0),
+                                       complex(0.5, -math.sqrt(3.0) / 2.0)], abs=1e-15)
