@@ -23,6 +23,12 @@ Inverse direction, for f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
 
       g(lam) = -(1/pi) int_0^inf Im[1/P(x^t e^{i t pi})] e^{-lam x} dx.
 
+  It runs on the same panel rule in u = log x, unit panels from
+  x = 1e-16 to max(60/lam, 10) with edges at x = 1 and at the kernel's
+  sign change; a whole lam grid is one call, one group per lam, and
+  lam = 0 (the total integral) adds an exact series tail.  Neither
+  route reaches QUADPACK, which only the forward transform uses here.
+
 The two routes share no code path beyond f itself, so their agreement is
 a genuine cross-check.  At t = 1 the inverse is elementary
 (``closed_form_inverse_t1``) and pins down both signs and normalization.
@@ -213,8 +219,11 @@ def branch_cut_kernel(x, p: FamilyParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("branch_cut_kernel requires x > 0")
-    zt = x ** p.t * np.exp(1j * math.pi * p.t)
-    out = np.imag(1.0 / p_alpha(zt, p.alpha))
+    # P(z) = z^2 P(1/z): past x = 1 use w = 1/z, so |w| <= 1 and nothing overflows
+    big = x > 1.0
+    phase = np.exp(1j * math.pi * p.t)
+    w = np.exp(-p.t * np.abs(np.log(x))) * np.where(big, phase.conjugate(), phase)
+    out = np.imag(np.where(big, w * w, 1.0) / p_alpha(w, p.alpha))
     return float(out) if out.ndim == 0 else out
 
 
@@ -231,51 +240,94 @@ def kernel_sign_change(p: FamilyParams):
     return (-p.cos_pi_alpha / ct) ** (1.0 / p.t)
 
 
-def branch_cut_invert(lam: float, p: FamilyParams,
+# The cut integrals start at x = 1e-16; |kernel| <= 1/|P| ~ 1 there, so the
+# dropped piece (0, 1e-16) is below 1e-16 and is added to every error estimate.
+_X_MIN = 1e-16
+_LOG_X_MAX = math.log(np.finfo(float).max)
+
+
+def _cut_integrals(p: FamilyParams, lams: np.ndarray, log_upper: np.ndarray, spec):
+    """int_{1e-16}^{e^log_upper} kernel(x) e^{-lam x} dx per lam, in one panel-rule call.
+
+    Works in u = log x, integrand kernel(e^u) e^{-lam e^u} e^u, on unit
+    panels in u with edges added at u = 0 (x = 1, where the kernel peaks as
+    t -> 1 - alpha) and at the sign change x0.  Returns (values, errors).
+    """
+    u_lo = math.log(_X_MIN)
+    x0 = kernel_sign_change(p)
+    cuts = np.array([0.0] if x0 is None else [0.0, math.log(x0)])
+    edges = [np.unique(np.concatenate([np.arange(math.ceil(u_lo), hi), [u_lo, hi],
+                                       cuts[(cuts > u_lo) & (cuts < hi)]]))
+             for hi in log_upper]
+    panels = np.concatenate([np.stack([e[:-1], e[1:]], axis=1) for e in edges])
+    group = np.repeat(np.arange(lams.size), [e.size - 1 for e in edges])
+
+    def integrand(u, k):
+        x = np.exp(u)
+        return branch_cut_kernel(x, p) * np.exp(-lams[k] * x) * x
+
+    val, err = gauss_kronrod_panels(integrand, panels, spec, group)
+    return val, err + _X_MIN
+
+
+def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams,
                       spec: QuadratureSpec = DEFAULT_QUAD, return_err: bool = False):
     """-(1/pi) int_0^inf kernel(x) e^{-lam x} dx; equals bromwich_invert.
 
-    With ``return_err`` returns (g, err), err being the quadrature's own
-    error estimate scaled by 1/pi.
+    ``lam`` is a finite scalar or 1-d array, lam >= 0; an array gives arrays
+    of g (and err), a scalar gives floats.  The whole grid is one
+    ``gauss_kronrod_panels`` call in u = log x over [log 1e-16,
+    log max(60/lam, 10)], one group per lam.  lam = 0 is the total kernel
+    integral: its head runs in the same call, cut at the
+    ``kernel_total_integral`` cutoff, plus that function's series tail (and
+    so needs t > 1/2).
+
+    Raises ValueError unless t < 1 - alpha and every lam is finite and
+    >= 0, ConvergenceError if 60/lam overflows (lam below about 3e-307) or
+    the panel rule exhausts its bisection budget at some lam.  With
+    ``return_err`` returns (g, err), err being the panel rule's estimate
+    plus the 1e-16 bound on the dropped (0, 1e-16), scaled by 1/pi.
     """
     _require_cut_regime(p)
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
-    if lam == 0.0:
-        val, err = kernel_total_integral(p, spec, return_err=True)
-    else:
-        upper = max(60.0 / lam, 10.0)
-        x0 = kernel_sign_change(p)
-        pts = sorted(x for x in (x0, 1.0) if x is not None and 0.0 < x < upper)
-        val, err = quad_checked(lambda x: branch_cut_kernel(x, p) * math.exp(-lam * x),
-                                0.0, upper, spec, points=pts or None)
+    lams = np.asarray(lam, dtype=float)
+    scalar = lams.ndim == 0
+    if lams.ndim > 1 or not np.all(np.isfinite(lams) & (lams >= 0.0)):
+        raise ValueError(f"branch_cut_invert requires finite lam >= 0, a scalar or a 1-d array, "
+                         f"got lam = {lam}")
+    lams = lams.reshape(-1)
+    zero = lams == 0.0
+    log_upper = np.maximum(math.log(60.0) - np.log(np.where(zero, 1.0, lams)), math.log(10.0))
+    if np.any(log_upper > _LOG_X_MAX):
+        k = int(np.argmax(log_upper > _LOG_X_MAX))
+        raise ConvergenceError(f"the cut range 60/lam overflows at lam = {lams[k]:.6g}")
+    if zero.any():
+        upper0 = _total_cutoff(p)
+        log_upper[zero] = math.log(upper0)
+    val, err = _cut_integrals(p, lams, log_upper, spec)
+    if zero.any():
+        tail, envelope = _series_tail(p, upper0)
+        val[zero] += tail
+        err[zero] += envelope
+    g, err = -val / math.pi, err / math.pi
+    if scalar:
+        g, err = float(g[0]), float(err[0])
     if return_err:
-        return -val / math.pi, err / math.pi
-    return -val / math.pi
+        return g, err
+    return g
 
 
-def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
-                          head_upper: float | None = None, return_err: bool = False):
-    """int_0^inf kernel(x) dx, which the contour argument forces to be 0.
-
-    Integrable only when t > 1/2 (the tail decays like x^{-2t}).  The
-    head is done by adaptive quadrature split at the sign change; the
-    algebraic tail is summed exactly from the expansion
-    1/P(zeta) = sum_n U_n(-cos pi a) zeta^{-n-2} in Chebyshev polynomials
-    of the second kind, term-integrated from the cutoff.  With
-    ``return_err`` returns (value, err): the head's quadrature estimate plus
-    the series envelope at truncation.
-    """
-    _require_cut_regime(p)
+def _total_cutoff(p: FamilyParams, head_upper: float | None = None) -> float:
+    """Where the total kernel integral hands its head over to the series tail."""
     if p.t <= 0.5:
         raise ValueError("total kernel integral diverges for t <= 1/2")
-    x0 = kernel_sign_change(p)
-    upper = head_upper if head_upper is not None else max(20.0, 2.0 * (x0 or 1.0))
-    pts = sorted(x for x in (x0, 1.0) if x is not None and 0.0 < x < upper)
-    head, head_err = quad_checked(lambda x: branch_cut_kernel(x, p), 0.0, upper, spec,
-                                  points=pts or None)
+    if head_upper is not None:
+        return head_upper
+    return max(20.0, 2.0 * (kernel_sign_change(p) or 1.0))
 
-    # tail: -sum_n U_n(-c) sin((n+2) t pi) X^{1-(n+2)t} / ((n+2)t - 1)
+
+def _series_tail(p: FamilyParams, upper: float):
+    """int_upper^inf kernel(x) dx from the U_n series: (value, envelope at truncation)."""
+    # -sum_n U_n(-c) sin((n+2) t pi) X^{1-(n+2)t} / ((n+2)t - 1)
     c = p.cos_pi_alpha
     tail = 0.0
     u_prev, u_cur = 0.0, 1.0  # U_{-1}, U_0 at -c
@@ -291,9 +343,28 @@ def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
         if envelope < 1e-16 * max(1.0, abs(tail)):
             break
         u_prev, u_cur = u_cur, -2.0 * c * u_cur - u_prev
+    return tail, envelope
+
+
+def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
+                          head_upper: float | None = None, return_err: bool = False):
+    """int_0^inf kernel(x) dx, which the contour argument forces to be 0.
+
+    Integrable only when t > 1/2 (the tail decays like x^{-2t}).  The
+    head up to ``head_upper`` (default max(20, 2 x0)) is the lam = 0 case
+    of the branch-cut panel rule; the algebraic tail is summed exactly
+    from the expansion 1/P(zeta) = sum_n U_n(-cos pi a) zeta^{-n-2} in
+    Chebyshev polynomials of the second kind, term-integrated from the
+    cutoff.  With ``return_err`` returns (value, err): the head's estimate
+    plus the series envelope at truncation.
+    """
+    _require_cut_regime(p)
+    upper = _total_cutoff(p, head_upper)
+    head, head_err = _cut_integrals(p, np.zeros(1), np.array([math.log(upper)]), spec)
+    tail, envelope = _series_tail(p, upper)
     if return_err:
-        return head + tail, head_err + envelope
-    return head + tail
+        return float(head[0]) + tail, float(head_err[0]) + envelope
+    return float(head[0]) + tail
 
 
 def closed_form_inverse_t1(lam: float, alpha: float) -> float:
@@ -328,7 +399,7 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
         vals = np.array([closed_form_inverse_t1(x, p.alpha) for x in lam])
         return InversionResult(lam, vals, "closed_form", 0.0)
     if method == "branch_cut":
-        vals, errs = np.array([branch_cut_invert(x, p, spec, return_err=True) for x in lam]).T
+        vals, errs = branch_cut_invert(lam, p, spec, return_err=True)
         return InversionResult(lam, vals, "branch_cut", float(np.max(errs)))
     if method != "bromwich":
         raise ValueError(f"unknown method {method!r}")

@@ -119,17 +119,18 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
         if hs[i] < m:
             m = float(hs[i])
             marg = (float(re[i]), float(level))
-    rho = np.geomspace(1e-4, 1e4, 400)
-    if p.alpha + p.eps < 0.5 and 0.0 < p.alpha < 0.5 and p.eps > 0.0:
-        hb = h_negative_axis(rho, p)
-    else:
-        # boundary approached from just above the cut
-        x = rho ** (1.0 / p.t)
-        hb = h_value(x * np.exp(1j * (math.pi - 1e-8)), p)
-    i = int(np.argmin(hb))
-    if hb[i] < m:
-        m = float(hb[i])
-        marg = (float(-(rho[i] ** (1.0 / p.t))), 0.0)
+    if p.t > 0.0:  # at t = 0, f is constant and h vanishes on the cut too
+        rho = np.geomspace(1e-4, 1e4, 400)
+        if p.alpha + p.eps < 0.5 and 0.0 < p.alpha < 0.5 and p.eps > 0.0:
+            hb = h_negative_axis(rho, p)
+        else:
+            # boundary approached from just above the cut
+            x = rho ** (1.0 / p.t)
+            hb = h_value(x * np.exp(1j * (math.pi - 1e-8)), p)
+        i = int(np.argmin(hb))
+        if hb[i] < m:
+            m = float(hb[i])
+            marg = (float(-(rho[i] ** (1.0 / p.t))), 0.0)
     if m >= -tol:
         return Verdict(PASS, tol, witness=(marg, m),
                        detail=f"scanned minimum m_hat = {m:.3e} >= -{tol:.1e} "

@@ -2,18 +2,18 @@
 
 Three schemes that take a vectorized integrand, one numpy call per pass:
 an adaptive Gauss-Kronrod panel rule (QUADPACK's G10/K21 pair, applied to
-every active panel at once; the Bromwich head runs on it), a tanh-sinh
-rule that tolerates integrable endpoint singularities, and an accelerated
-half-period panel sum for semi-infinite Fourier-type integrals with
-algebraic decay.  The panel rule and the tail sum also take many
-integrals at once (panels tagged with a group index; arrays of frequency
-and start), still with one integrand call per pass, which is how the
-Bromwich route inverts a whole lam grid.  ``quad_checked`` wraps scipy's
-QUADPACK for the scalar integrands elsewhere in the package (the forward
-transform, the branch-cut route, density normalizations).  scipy is
-imported on the first ``quad_checked`` call, not with this module, so
-``import hcmlab`` and every path that never reaches QUADPACK load numpy
-only.
+every active panel at once; the Bromwich head and the branch-cut integral
+run on it), a tanh-sinh rule that tolerates integrable endpoint
+singularities, and an accelerated half-period panel sum for semi-infinite
+Fourier-type integrals with algebraic decay.  The panel rule and the tail
+sum also take many integrals at once (panels tagged with a group index;
+arrays of frequency and start), still with one integrand call per pass,
+which is how the Bromwich and branch-cut routes invert a whole lam grid.
+``quad_checked`` wraps scipy's QUADPACK for the scalar integrands
+elsewhere in the package (the forward transform, density normalizations).
+scipy is imported on the first ``quad_checked`` call, not with this
+module, so ``import hcmlab`` and every path that never reaches QUADPACK
+load numpy only.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, points=None):
+def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
     """scipy.integrate.quad under a QuadratureSpec; raises on failure.
 
     scipy.integrate is imported here, on the first call, so only the
@@ -58,11 +58,8 @@ def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, points=None):
     """
     from scipy.integrate import quad
 
-    kw = dict(limit=spec.max_subdivisions, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-              full_output=1)
-    if points is not None and not math.isinf(b):
-        kw["points"] = points
-    out = quad(f, a, b, **kw)
+    out = quad(f, a, b, limit=spec.max_subdivisions, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+               full_output=1)
     if len(out) > 3:
         raise ConvergenceError(f"quad did not converge on [{a}, {b}]: {out[3]}")
     return out[0], out[1]

@@ -107,6 +107,14 @@ class TestExitCodes:
         assert agreement["status"] == status
         assert "FAIL" not in [v["status"] for v in rep["verdicts"]]
 
+    def test_tiny_lambda_both_routes_agree(self, capsys):
+        # the branch-cut route integrates out to 60/lam = 6e8 here
+        code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5",
+                            "--lambda", "1e-7", "--method", "both")
+        assert code == 0
+        (agreement,) = rep["verdicts"]
+        assert agreement["name"] == "method_agreement" and agreement["status"] == "PASS"
+
     def test_cm_diff_rejects_lambda_grid_flags(self, capsys):
         for flag, value in (("--lambda-min", "0.1"), ("--lambda-max", "20"), ("--n", "30")):
             code = main(["cm-check", "--alpha", "0.3", "--t", "0.65",

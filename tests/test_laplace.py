@@ -285,6 +285,60 @@ class TestBranchCutInvert:
         for lam in np.geomspace(1e-2, 1e2, 25):
             assert branch_cut_invert(lam, p) >= -1e-8
 
+    def test_tiny_lambda_matches_bromwich(self):
+        # the cut runs out to 60/lam = 6e8; a scalar QUADPACK pass used to give up there
+        p = FamilyParams(0.3, 0.5)
+        g = branch_cut_invert(1e-7, p)
+        assert g == pytest.approx(bromwich_invert(p, 1e-7), abs=1e-9)
+        assert g == pytest.approx(0.99958056547638, abs=1e-12)
+
+    def test_grid_equals_scalar_calls(self):
+        p = FamilyParams(0.25, 0.7)
+        lams = np.array([0.0, 1e-7, 0.3, 1.0, 40.0])
+        g, err = branch_cut_invert(lams, p, return_err=True)
+        assert g.shape == err.shape == lams.shape
+        for x, gx, ex in zip(lams, g, err):
+            g1, e1 = branch_cut_invert(float(x), p, return_err=True)
+            assert isinstance(g1, float) and isinstance(e1, float)
+            assert abs(gx - g1) <= 1e-13 * max(1.0, abs(g1))
+            assert ex == pytest.approx(e1, rel=1e-6, abs=1e-13)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, [1.0, math.nan], [[1.0]]])
+    def test_bad_lambda_names_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            branch_cut_invert(lam, FamilyParams(0.3, 0.5))
+
+    def test_subnormal_lambda_is_convergence_error(self):
+        # 60/lam overflows a double; past x = 1 the kernel itself stays finite
+        p = FamilyParams(0.3, 0.69)
+        assert math.isfinite(branch_cut_invert(1e-300, p))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            branch_cut_invert(np.array([1.0, 5e-324]), p)
+
+
+class TestBranchCutErrorEstimate:
+    """The returned err must bound the true error, checked against mpmath on the cut."""
+
+    # tiny and huge lam, the kernel's peak at x = 1 as t -> 1 - alpha, both
+    # sides of t = 1/2 (with and without the sign change x0)
+    ORACLE_POINTS = [(0.3, 0.5, 1e-7), (0.3, 0.5, 700.0), (0.49, 0.505, 1.0),
+                     (0.25, 0.7, 0.3), (0.1, 0.89, 10.0), (0.05, 0.2, 0.1)]
+
+    @pytest.mark.parametrize("alpha,t,lam", ORACLE_POINTS)
+    def test_err_bounds_mpmath_oracle(self, alpha, t, lam):
+        mpmath = pytest.importorskip("mpmath")
+        p = FamilyParams(alpha, t)
+        splits = [0, 1] + ([kernel_sign_change(p)] if kernel_sign_change(p) else [])
+        with mpmath.workdps(20):
+            c = mpmath.cos(mpmath.pi * alpha)
+            zeta = lambda x: x ** t * mpmath.expjpi(t)
+            kernel = lambda x: mpmath.im(1 / (zeta(x) ** 2 + 2 * c * zeta(x) + 1))
+            exact = float(-mpmath.quad(lambda x: kernel(x) * mpmath.exp(-lam * x),
+                                       sorted(splits) + [mpmath.inf]) / mpmath.pi)
+        g, err = branch_cut_invert(lam, p, return_err=True)
+        assert abs(g - exact) <= err
+        assert err <= 1e-10 * max(1.0, abs(g))
+
 
 class TestKernelTotalIntegral:
     def test_fifth(self):
@@ -360,8 +414,11 @@ class TestInvertGrid:
         p = FamilyParams.from_eps(0.25, 0.05)
         lams = np.geomspace(0.1, 10.0, 5)
         res = invert_grid(p, lams, method="branch_cut")
-        errs = [branch_cut_invert(x, p, return_err=True)[1] for x in lams]
-        assert res.est_error == max(errs)
+        vals, errs = np.array([branch_cut_invert(x, p, return_err=True) for x in lams]).T
+        # one batched panel-rule call: the values are the scalar calls', but the
+        # estimates (differences of near-equal sums) move by roundoff
+        assert np.all(np.abs(res.values - vals) <= 1e-13)
+        assert res.est_error == pytest.approx(max(errs), rel=1e-6, abs=1e-13)
         assert res.est_error != QuadratureSpec().abs_tol
 
     def test_closed_form_method_guard(self):

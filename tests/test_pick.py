@@ -113,6 +113,14 @@ class TestGgcPickScan:
         theta = (1.0 - alpha) * math.pi / t
         assert v.witness == (pytest.approx((math.cos(theta), math.sin(theta)), abs=1e-15), 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_t_zero_is_constant_pass(self, alpha):
+        # f is constant at t = 0, so h vanishes everywhere, the cut included
+        v = ggc_pick_scan(FamilyParams(alpha, 0.0))
+        assert v.passed
+        _, m_hat = v.witness
+        assert m_hat == 0.0
+
     def test_alpha_above_half_fails_by_negative_h(self):
         v = ggc_pick_scan(FamilyParams(0.6, 0.3))
         assert v.failed
