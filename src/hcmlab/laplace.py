@@ -9,13 +9,13 @@ Inverse direction, for f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
   integration by parts trades f for f', whose |y|^{-2t-1} decay makes the
   folded integral absolutely convergent for every t > 0.  The head runs
   on the vectorized adaptive Gauss-Kronrod panel rule, starting from the
-  half periods of e^{i lam y}; the oscillatory tail is summed over further
-  half-period panels with Euler-type acceleration.  Both hand f' whole
-  node arrays, so no scalar integrand is called per node.  A whole lam
-  grid goes through one batched pass: every lam keeps its own abscissa,
-  panels and retire rule, but each adaptive pass is one f' call for the
-  grid, and so are all its tails (grids too big for one pass are split
-  into chunks of at most ``MAX_HEAD_PANELS`` panels).
+  half periods of e^{i lam y}; the oscillatory tail is rotated onto the ray
+  where e^{i lam y} decays and taken on 147 fixed Gauss-Kronrod nodes.  Both
+  hand f' whole node arrays, so no scalar integrand is called per node.  A
+  whole lam grid goes through one batched pass: every lam keeps its own
+  abscissa, panels and retire rule, but each adaptive pass is one f' call
+  for the grid, and so are all its tails (grids too big for one pass are
+  split into chunks of at most ``MAX_HEAD_PANELS`` panels).
 
 * ``branch_cut_invert`` uses the real-axis representation obtained by
   collapsing the contour onto the negative axis (valid while the
@@ -124,12 +124,12 @@ def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
     (a scalar or an array matching ``lam``) or ``default_abscissa`` when
     c = None.  The head [0, y0] is integrated by ``gauss_kronrod_panels``
     on the m = ceil(4 lam/pi) half-period panels of e^{i lam y} that end
-    at y0, the tail by ``oscillatory_tail``; every lam keeps its own
-    panels, retire rule and bisection budget, but one adaptive pass makes
-    one f' call for the whole grid, and all tails share one more.  A grid
-    is split into consecutive chunks of at most ``MAX_HEAD_PANELS`` head
-    plus tail panels, so no pass builds a bigger node array than one lam
-    at the cap.
+    at y0, the tail by ``oscillatory_tail`` on the ray Im z = y0, Re z <= c,
+    where e^{lam z} decays; every lam keeps its own panels, retire rule and
+    bisection budget, but one adaptive pass makes one f' call for the whole
+    grid, and all tails share one more.  A grid is split into consecutive
+    chunks of at most ``MAX_HEAD_PANELS`` head plus tail panels, so no pass
+    builds a bigger node array than one lam at the cap.
 
     Raises ValueError if a line does not clear the poles of the
     continuation, ConvergenceError if the head rule exhausts its bisection
@@ -198,6 +198,9 @@ def _bromwich_chunk(p, lams, cs, m, y0, spec):
     head, head_err = gauss_kronrod_panels(
         lambda y, k: (f_family_prime(cs[k] + 1j * y, p) * np.exp(1j * lams[k] * y)).real,
         np.stack([j * step, b], axis=1), spec, group)
+    # The tail's quarter plane is {Im z >= y0, Re z <= c} for phi(y) = f'(c + iy).  Every
+    # pole has |z| = 1 and the cut lies on Im z = 0, while y0 = m pi/lam >= 4 for every lam
+    # (m >= 4 lam/pi, m >= 1): f' is analytic there and decays, so the rotation is valid.
     tail, tail_err = oscillatory_tail(lambda y: f_family_prime(cs[:, None] + 1j * y, p),
                                       lams, y0)
     return head + tail.real, head_err + tail_err
@@ -403,6 +406,9 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
         return InversionResult(lam, vals, "branch_cut", float(np.max(errs)))
     if method != "bromwich":
         raise ValueError(f"unknown method {method!r}")
+    if np.any(~(lam > 0.0)):  # checked before default_abscissa divides by lam
+        raise ValueError(f"the Bromwich route requires lam > 0, got lam = {lam[~(lam > 0.0)][0]:g}"
+                         "; the branch-cut route (--method branch-cut) takes lam = 0")
     # one call: the grid, then its two ends again at 1.3 times their abscissa
     cs = default_abscissa(p, lam) if c is None else np.full_like(lam, c)
     ends = [0, -1]

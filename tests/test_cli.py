@@ -115,6 +115,15 @@ class TestExitCodes:
         (agreement,) = rep["verdicts"]
         assert agreement["name"] == "method_agreement" and agreement["status"] == "PASS"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["both", "bromwich"])
+    def test_zero_lambda_on_bromwich_route_is_usage(self, capsys, method):
+        code = main(["invert", "--alpha", "0.25", "--t", "0.7", "--lambda", "0", "1",
+                     "--method", method])
+        out, err = capsys.readouterr()
+        assert code == EX_USAGE and out == ""
+        assert "lam = 0" in err and "--method branch-cut" in err
+
     def test_cm_diff_rejects_lambda_grid_flags(self, capsys):
         for flag, value in (("--lambda-min", "0.1"), ("--lambda-max", "20"), ("--n", "30")):
             code = main(["cm-check", "--alpha", "0.3", "--t", "0.65",

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import hcmlab.laplace
 from hcmlab.laplace import (MAX_HEAD_PANELS, InversionResult, branch_cut_invert,
-                            branch_cut_kernel, bromwich_invert, closed_form_inverse_t1, invert_grid,
-                            kernel_sign_change, kernel_total_integral, laplace_forward)
+                            branch_cut_kernel, bromwich_invert, closed_form_inverse_t1,
+                            default_abscissa, invert_grid, kernel_sign_change,
+                            kernel_total_integral, laplace_forward)
 from hcmlab.monotone import ScanGrid, cm_check_by_inversion
-from hcmlab.quadrature import TAIL_PANELS, ConvergenceError, QuadratureSpec
-from hcmlab.specfun import FamilyParams, f_family
+from hcmlab.quadrature import TAIL_PANELS, ConvergenceError, QuadratureSpec, oscillatory_tail
+from hcmlab.specfun import FamilyParams, f_family, f_family_prime
 
 
 class TestLaplaceForward:
@@ -104,6 +105,27 @@ class TestBromwichErrorEstimate:
         g, err = bromwich_invert(FamilyParams(alpha, t), lam, return_err=True)
         assert abs(g - exact) <= err
         assert err <= 1e-6 * max(1.0, abs(g))
+
+    @pytest.mark.parametrize("alpha,t,lam", [(0.3, 0.7, 0.05), (0.3, 1.5, 2.0),
+                                             (0.45, 0.98, 0.713)])
+    def test_tail_err_bounds_unrotated_quadosc_oracle(self, alpha, t, lam):
+        # the reference integrates the tail on the real y axis, not on the rotated ray
+        mpmath = pytest.importorskip("mpmath")
+        p = FamilyParams(alpha, t)
+        c = float(default_abscissa(p, lam))
+        y0 = max(1, math.ceil(4.0 * lam / math.pi)) * math.pi / lam
+        tail, err = oscillatory_tail(lambda y: f_family_prime(c + 1j * y, p), lam, y0)
+        with mpmath.workdps(20):
+            cpa = mpmath.cos(mpmath.pi * alpha)
+
+            def integrand(y):
+                z = c + 1j * y
+                w = z ** t
+                return (-2 * t * (w / z) * (w + cpa) / (w * w + 2 * cpa * w + 1) ** 2
+                        * mpmath.expj(lam * y))
+
+            ref = complex(mpmath.quadosc(integrand, [y0, mpmath.inf], omega=lam))
+        assert abs(tail - ref) <= err
 
     def test_err_bounds_closed_form_t1_on_c02_grid(self):
         for alpha in [round(0.05 * j, 2) for j in range(1, 11)]:
@@ -420,6 +442,12 @@ class TestInvertGrid:
         assert np.all(np.abs(res.values - vals) <= 1e-13)
         assert res.est_error == pytest.approx(max(errs), rel=1e-6, abs=1e-13)
         assert res.est_error != QuadratureSpec().abs_tol
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bromwich_rejects_lambda_before_the_abscissa(self, bad):
+        with pytest.raises(ValueError, match=f"got lam = {bad:g}; the branch-cut route"):
+            invert_grid(FamilyParams(0.25, 0.7), [bad, 1.0])
 
     def test_closed_form_method_guard(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,29 @@ class TestCmByInversion:
                             lambda z, p: calls.append(z.size) or prime(z, p))
         cm_check_by_inversion(FamilyParams(0.3, t))
         assert 0 < len(calls) <= 16
+
+    def test_default_grid_prime_points(self, monkeypatch):
+        # 40 rotated tails of 147 nodes plus the heads: ~17,200 points per check
+        points = []
+        prime = hcmlab.laplace.f_family_prime
+        monkeypatch.setattr(hcmlab.laplace, "f_family_prime",
+                            lambda z, p: points.append(z.size) or prime(z, p))
+        for t in (0.65, 1.0):
+            points.clear()
+            cm_check_by_inversion(FamilyParams(0.3, t))
+            assert sum(points) <= 20_000, t
+
+    def test_refined_grid_peak_memory(self):
+        grid = ScanGrid(0.05, 50.0, 160)
+        cm_check_by_inversion(FamilyParams(0.3, 0.65), grid)  # imports and caches out of the count
+        tracemalloc.start()
+        try:
+            for t in (0.65, 0.8, 1.0):
+                cm_check_by_inversion(FamilyParams(0.3, t), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
 
 class TestCmByDifferences:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from hcmlab.quadrature import (_GK_NODES, _GK_WEIGHTS, ConvergenceError, QuadratureSpec,
-                               gauss_kronrod_panels, oscillatory_tail, quad_checked, tanh_sinh)
+from hcmlab.quadrature import (_GK_NODES, _GK_WEIGHTS, TAIL_NODES, ConvergenceError,
+                               QuadratureSpec, gauss_kronrod_panels, oscillatory_tail,
+                               quad_checked, tanh_sinh)
 
 
 class TestQuadratureSpec:
@@ -150,7 +151,7 @@ class TestOscillatoryTail:
             return 1.0 / y
 
         got, err = oscillatory_tail(phi, omega, start)
-        assert shapes == [(3, 48 * 16)] and got.shape == err.shape == (3,)
+        assert shapes == [(3, TAIL_NODES)] and got.shape == err.shape == (3,)
         for k in range(3):
             g1, e1 = oscillatory_tail(lambda y: 1.0 / y, omega[k], start[k])
             assert got[k] == g1 and err[k] == e1
