@@ -143,8 +143,10 @@ def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
         raise ValueError("bromwich_invert requires t > 0")
     lams = np.asarray(lam, dtype=float)
     scalar = lams.ndim == 0
-    if lams.ndim > 1 or np.any(~(lams > 0.0)):
-        raise ValueError("bromwich_invert requires lam > 0, a scalar or a 1-d array")
+    bad = np.flatnonzero(~(lams > 0.0))[:1]
+    if lams.ndim > 1 or bad.size:
+        raise ValueError("bromwich_invert requires lam > 0, a scalar or a 1-d array; got " + (
+            f"lam[{bad[0]}] = {lams.flat[bad[0]]:g}" if bad.size else f"shape {lams.shape}"))
     lams = lams.reshape(-1)
     cs = np.broadcast_to(default_abscissa(p, lams) if c is None else np.asarray(c, dtype=float),
                          lams.shape)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .quadrature import (DEFAULT_QUAD, ConvergenceError, QuadratureSpec,
                          quad_checked)
-from .specfun import FamilyParams, f_family, pole_locations
+from .specfun import FamilyParams, p_alpha, pole_locations
 from .laplace import bromwich_invert
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+BATTERY_BLOCK = 1 << 15  # w-stencil points per f call of ``hcm_check``
 
 
 class SignChangeError(ValueError):
@@ -152,48 +153,52 @@ def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
 # CM via alternating finite differences
 # --------------------------------------------------------------------------
 
-def _diff_battery_min(f, xs: np.ndarray, order: int, rel_steps):
-    """Most negative normalized value of (-1)^k Delta_h^k f over the scan.
+def _stencil(xs: np.ndarray, order: int, steps) -> np.ndarray:
+    """Points x (1 + h j), shape (order + 1, steps, x): j leads."""
+    return xs * (1.0 + np.asarray(steps, float)[:, None] * np.arange(order + 1)[:, None, None])
 
-    Returns (value, (x, h_rel, k)).  Values are normalized by the largest
-    |f| on the stencil so the tolerance is relative.
+
+def _diff_battery_min(vals: np.ndarray):
+    """Most negative normalized (-1)^k Delta_h^k f, as (value, index).
+
+    ``vals`` is f on a stencil of shape (order + 1, ..., steps, x).  The
+    differences, normalized by the largest |f| on each stencil, fill one
+    (..., step, k, x) table (k from 0; NaN skipped) whose argmin in C order
+    breaks ties as nested loops over those axes would.
     """
-    worst = math.inf
-    arg = None
-    js = np.arange(order + 1)
-    for hrel in rel_steps:
-        stencil = xs[:, None] * (1.0 + hrel * js[None, :])
-        vals = f(stencil.ravel()).reshape(stencil.shape)
-        scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)
-        d = vals
-        for k in range(1, order + 1):
-            d = d[:, :-1] - d[:, 1:]
-            norm = d[:, 0] / scale
-            i = int(np.argmin(norm))
-            if norm[i] < worst:
-                worst = float(norm[i])
-                arg = (float(xs[i]), float(hrel), k)
-    return worst, arg
+    scale = np.maximum(np.max(np.abs(vals), axis=0), 1e-300)
+    table, d = np.empty((vals.shape[0] - 1,) + scale.shape), vals
+    for k in range(table.shape[0]):
+        d = d[:-1] - d[1:]
+        np.divide(d[0], scale, out=table[k])
+    table = np.moveaxis(table, 0, -2)
+    table[np.isnan(table)] = np.inf
+    i = np.unravel_index(np.argmin(table), table.shape)
+    return float(table[i]), tuple(int(j) for j in i)
 
 
 def cm_check_by_differences(f, grid: ScanGrid | None = None, order: int = 8,
                             steps=(0.05, 0.2, 1.0), tol: float = 1e-9) -> Verdict:
     """Necessary-condition battery (-1)^k Delta_h^k f(x) >= 0, k <= order.
 
-    ``steps`` are step sizes relative to x (h = step * x).  Roundoff in the
-    alternating sums grows like 2^order * eps, so order 8 leaves the
-    default tolerance two decades of headroom.
+    ``steps`` are step sizes relative to x (h = step * x).  f gets one call
+    on a 1-d float array, the whole stencil of len(steps) * grid.n *
+    (order + 1) points; the battery then needs about 100 bytes per point.
+    Roundoff in the alternating sums grows like 2^order * eps, so order 8
+    leaves the default tolerance two decades of headroom.
     """
     if grid is None:
         grid = ScanGrid(0.01, 20.0, 40)
-    worst, arg = _diff_battery_min(f, grid.points(), order, steps)
+    xs = grid.points()
+    points = _stencil(xs, order, steps)
+    worst, (s, k, i) = _diff_battery_min(f(points.ravel()).reshape(points.shape))
     if worst >= -tol:
         return Verdict(PASS, tol, detail=(
             f"min normalized difference {worst:.3e} over {grid}, order <= {order}, "
             f"steps {tuple(steps)}; evidence, not proof"))
-    x, hrel, k = arg
+    x, hrel = float(xs[i]), float(steps[s])
     return Verdict(FAIL, tol, witness=(x, worst),
-                   detail=f"(-1)^k Delta^k f < 0 at x = {x:.6g}, h = {hrel:.3g} x, k = {k}")
+                   detail=f"(-1)^k Delta^k f < 0 at x = {x:.6g}, h = {hrel:.3g} x, k = {k + 1}")
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +264,6 @@ def sign_change_lemma_check(h, x0_bracket, q: QuadratureSpec = DEFAULT_QUAD,
 # --------------------------------------------------------------------------
 
 def _v_of_w(w):
-    w = np.asarray(w, dtype=float)
     return 0.5 * (w + np.sqrt(w * w - 4.0))
 
 
@@ -267,11 +271,14 @@ def hcm_check(f, u_grid: ScanGrid | None = None, w_grid: ScanGrid | None = None,
               order: int = 8, steps=(0.05, 0.2, 1.0), tol: float = 1e-9) -> Verdict:
     """Black-box HCM battery: CM-in-w test of f(uv) f(u/v) for each u.
 
-    ``f`` must accept ndarrays of positive reals.  The map w -> v uses the
-    root v >= 1; the other root gives the same product.  Near w = 2 the
-    map has a square-root singularity, so the default grid starts at 2.01.
-    A certified negative difference is a genuine HCM counterexample; PASS
-    is evidence only, and in particular this battery cannot resolve the
+    ``f`` must accept 1-d float arrays of positive reals; it gets one call
+    per block of u, on the u v and u / v of at most ``BATTERY_BLOCK``
+    w-stencil points (the default 17 u x 3 steps x 25 w x 9 is one block),
+    so a check needs at most about 7 MB.  The map w -> v uses the root
+    v >= 1; the other root gives the same product.  Near w = 2 the map has
+    a square-root singularity, so the default grid starts at 2.01.  A
+    certified negative difference is a genuine HCM counterexample; PASS is
+    evidence only, and in particular this battery cannot resolve the
     exponentially weak failures just past the family's HCM boundary (use
     ``hcm_check_family`` for those).
     """
@@ -281,22 +288,22 @@ def hcm_check(f, u_grid: ScanGrid | None = None, w_grid: ScanGrid | None = None,
         w_grid = ScanGrid(2.01, 200.0, 25)
     if w_grid.lo <= 2.0:
         raise ValueError("w grid must start above 2")
-    ws = w_grid.points()
-    worst = math.inf
-    warg = None
-    for u in u_grid.points():
-        def g_u(w):
-            v = _v_of_w(w)
-            return f(u * v) * f(u / v)
-        m, arg = _diff_battery_min(g_u, ws, order, steps)
+    ws, us = w_grid.points(), u_grid.points()
+    v = _v_of_w(_stencil(ws, order, steps))
+    per_block = max(1, BATTERY_BLOCK // v.size)
+    worst, warg = math.inf, None
+    for lo in range(0, us.size, per_block):
+        u = us[lo:lo + per_block, None, None]
+        x = np.stack([u * v[:, None], u / v[:, None]])  # (2, order + 1, u, steps, w)
+        fx = f(x.ravel()).reshape(x.shape)
+        m, (iu, s, k, i) = _diff_battery_min(fx[0] * fx[1])
         if m < worst:
-            worst = m
-            warg = (float(u), arg)
+            worst, warg = m, (float(us[lo + iu]), float(ws[i]), float(steps[s]), k + 1)
     if worst >= -tol:
         return Verdict(PASS, tol, detail=(
             f"min normalized w-difference {worst:.3e} over u in {u_grid}, w in {w_grid}, "
             f"order <= {order}; evidence, not proof"))
-    u, (w, hrel, k) = warg
+    u, w, hrel, k = warg
     return Verdict(FAIL, tol, witness=((u, w), worst),
                    detail=f"CM-in-w violated at u = {u:.6g}, w = {w:.6g}, h = {hrel:.3g} w, k = {k}")
 
@@ -311,9 +318,11 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
     1. poles of the analytic continuation off the negative axis
        (present iff t > 1 - alpha; the witness is the principal pole
        e^{i(1-alpha)pi/t}, first in ``pole_locations``);
-    2. local increase at 0+ (present iff alpha > 1/2), certified by a
-       first difference;
-    3. the black-box battery of ``hcm_check``.
+    2. increase at 0+ (iff alpha > 1/2 and t > 0): f - 1 = cot^2(pi alpha)
+       at y = x^t = -cos(pi alpha), in closed form.  An HCM function with
+       0 < f(0+) < inf is CM (Bondesson 1992: f = C x^{beta-1} h1(x)
+       h2(1/x), h1 and h2 Laplace transforms of GGCs), so cannot rise;
+    3. the black-box battery of ``hcm_check``, on real-arithmetic f.
 
     Routes 1 and 2 are the analytic obstructions; they certify failures
     the battery cannot see numerically.
@@ -324,16 +333,12 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
         return Verdict(FAIL, tol, witness=((z.real, z.imag), 0.0),
                        detail=(f"analytic continuation has poles e^(+-i(1-alpha)pi/t) "
                                f"at {z:.12g}; an HCM function is pole-free off the cut"))
-    fx = lambda x: np.real(f_family(np.asarray(x, dtype=complex), p))
-    if p.cos_pi_alpha < 0.0:
-        slope = cm_check_by_differences(fx, ScanGrid(1e-6, 1e-2, 5), order=1,
-                                        steps=(0.5, 1.0), tol=tol)
-        if slope.failed:
-            x, val = slope.witness
-            return Verdict(FAIL, tol, witness=(x, val),
-                           detail=(f"f increasing near 0+ (witness x = {x:.3g}): "
-                                   "not CM, hence not HCM since f(0+) = 1 > 0"))
-    return hcm_check(fx, u_grid, w_grid, order, steps, tol)
+    if p.cos_pi_alpha < 0.0 and p.t > 0.0:
+        y, rise = -p.cos_pi_alpha, 1.0 / math.tan(math.pi * p.alpha) ** 2
+        return Verdict(FAIL, tol, witness=(y, rise), detail=(
+            f"f increasing from f(0+) = 1: f - 1 = cot^2(pi alpha) = {rise:.6e} at "
+            f"x^t = {y:.6g} (log x = {math.log(y) / p.t:.6g}); not CM, hence not HCM"))
+    return hcm_check(lambda x: 1.0 / p_alpha(x ** p.t, p.alpha), u_grid, w_grid, order, steps, tol)
 
 
 def hcm_product_rewrite(p: FamilyParams, u: float, w: float) -> float:

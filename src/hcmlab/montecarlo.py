@@ -28,7 +28,7 @@ import numpy as np
 from .densities import cdf_T_alpha, density_sqrt_gamma_product
 from .monotone import ScanGrid, Verdict, cm_check_by_differences, FAIL, INCONCLUSIVE, PASS
 from .quadrature import tanh_sinh
-from .specfun import bessel_k
+from .specfun import bessel_k, p_alpha
 
 __all__ = [
     "SampleSet",
@@ -336,12 +336,5 @@ def verify_kanter_cm(alpha: float, grid: ScanGrid | None = None, order: int = 8,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    c = math.cos(math.pi * alpha)
-    ta = 1.0 - alpha
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        xt = x ** ta
-        return x ** (-alpha) / (xt * xt + 2.0 * c * xt + 1.0)
-
+    f = lambda x: x ** (-alpha) / p_alpha(x ** (1.0 - alpha), alpha)
     return cm_check_by_differences(f, grid, order=order, tol=tol)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestBromwich:
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             bromwich_invert(FamilyParams(0.3, 0.65), 0.0)
+
+    @pytest.mark.parametrize("lam,named", [(np.array([1.0, math.nan]), "lam[1] = nan"),
+                                           (np.array([2.0, 1.0, -3.0]), "lam[2] = -3"),
+                                           (0.0, "lam[0] = 0"),
+                                           (np.ones((2, 2)), "shape (2, 2)")])
+    def test_bad_lambda_is_named_with_its_index(self, lam, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            bromwich_invert(FamilyParams(0.25, 0.7), lam)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_matches_closed_form_t1(self, alpha):

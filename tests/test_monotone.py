@@ -3,14 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hcmlab.laplace
+import hcmlab.monotone
 from hcmlab.monotone import (ScanGrid, SignChangeError, Verdict,
                              cm_check_by_differences, cm_check_by_inversion,
                              estimate_critical_t, hcm_check, hcm_check_family,
                              hcm_product_rewrite, sign_change_lemma_check)
 from hcmlab.laplace import branch_cut_kernel
-from hcmlab.specfun import FamilyParams, f_family
+from hcmlab.cli import main
+from hcmlab.specfun import FamilyParams, f_family, p_alpha
 
 
 def f_real(p):
@@ -272,3 +276,227 @@ class TestCriticalT:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             estimate_critical_t(0.7)
+
+
+# --------------------------------------------------------------------------
+# The difference battery as a loop over u and steps: the reference that the
+# batched battery must reproduce bit for bit.
+# --------------------------------------------------------------------------
+
+def _loop_battery_min(f, xs, order, rel_steps):
+    worst = math.inf
+    arg = None
+    js = np.arange(order + 1)
+    for hrel in rel_steps:
+        stencil = xs[:, None] * (1.0 + hrel * js[None, :])
+        vals = f(stencil.ravel()).reshape(stencil.shape)
+        scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)
+        d = vals
+        for k in range(1, order + 1):
+            d = d[:, :-1] - d[:, 1:]
+            norm = d[:, 0] / scale
+            i = int(np.argmin(norm))
+            if norm[i] < worst:
+                worst = float(norm[i])
+                arg = (float(xs[i]), float(hrel), k)
+    return worst, arg
+
+
+def _loop_cm_check_by_differences(f, grid=None, order=8, steps=(0.05, 0.2, 1.0), tol=1e-9):
+    if grid is None:
+        grid = ScanGrid(0.01, 20.0, 40)
+    worst, arg = _loop_battery_min(f, grid.points(), order, steps)
+    if worst >= -tol:
+        return Verdict("PASS", tol, detail=(
+            f"min normalized difference {worst:.3e} over {grid}, order <= {order}, "
+            f"steps {tuple(steps)}; evidence, not proof"))
+    x, hrel, k = arg
+    return Verdict("FAIL", tol, witness=(x, worst),
+                   detail=f"(-1)^k Delta^k f < 0 at x = {x:.6g}, h = {hrel:.3g} x, k = {k}")
+
+
+def _loop_hcm_min(f, u_grid, w_grid, order, steps):
+    ws = w_grid.points()
+    worst = math.inf
+    warg = None
+    for u in u_grid.points():
+        def g_u(w):
+            v = 0.5 * (w + np.sqrt(w * w - 4.0))
+            return f(u * v) * f(u / v)
+        m, arg = _loop_battery_min(g_u, ws, order, steps)
+        if m < worst:
+            worst = m
+            warg = (float(u), arg)
+    return worst, warg
+
+
+def _loop_hcm_check(f, u_grid=None, w_grid=None, order=8, steps=(0.05, 0.2, 1.0), tol=1e-9):
+    u_grid = u_grid or ScanGrid(1e-4, 1.0, 17)
+    w_grid = w_grid or ScanGrid(2.01, 200.0, 25)
+    worst, warg = _loop_hcm_min(f, u_grid, w_grid, order, steps)
+    if worst >= -tol:
+        return Verdict("PASS", tol, detail=(
+            f"min normalized w-difference {worst:.3e} over u in {u_grid}, w in {w_grid}, "
+            f"order <= {order}; evidence, not proof"))
+    u, (w, hrel, k) = warg
+    return Verdict("FAIL", tol, witness=((u, w), worst),
+                   detail=f"CM-in-w violated at u = {u:.6g}, w = {w:.6g}, h = {hrel:.3g} w, k = {k}")
+
+
+@st.composite
+def _pole_free_family(draw):
+    """(alpha, t) with 0 < t <= 1 - alpha: no poles, either side of alpha = 1/2."""
+    alpha = draw(st.floats(0.0, 0.95))
+    return FamilyParams(alpha, (1.0 - alpha) * draw(st.floats(0.02, 1.0)))
+
+
+def _power_ratio(x):
+    x = np.asarray(x, dtype=float)
+    return x ** 0.5 / (1.0 + x ** 0.7)
+
+
+_BLACK_BOXES = {
+    "prototype": lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
+    "exponential": lambda x: np.exp(-np.asarray(x)),
+    "power_ratio": _power_ratio,
+    "kanter": lambda x: np.asarray(x) ** (-0.4) * f_real(FamilyParams(0.4, 0.6))(x),
+    "family_t1": f_real(FamilyParams(0.3, 1.0)),
+    "alpha_above_half": f_real(FamilyParams(0.6, 0.3)),
+}
+
+
+def _same(a, b):
+    return (a.status, a.witness, a.detail) == (b.status, b.witness, b.detail)
+
+
+class TestBatchedBatteryMatchesLoop:
+    @settings(max_examples=25, deadline=None)
+    @given(_pole_free_family())
+    def test_hcm_check_family_evaluator(self, p):
+        f = f_real(p)
+        assert _same(hcm_check(f), _loop_hcm_check(f))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_pole_free_family())
+    def test_cm_check_by_differences_family(self, p):
+        f = f_real(p)
+        assert _same(cm_check_by_differences(f), _loop_cm_check_by_differences(f))
+
+    @pytest.mark.parametrize("name", sorted(_BLACK_BOXES))
+    def test_black_boxes(self, name):
+        f = _BLACK_BOXES[name]
+        assert _same(hcm_check(f), _loop_hcm_check(f))
+        small = (ScanGrid(1e-2, 1.0, 7), ScanGrid(2.01, 80.0, 12))
+        assert _same(hcm_check(f, *small, order=6), _loop_hcm_check(f, *small, order=6))
+        assert _same(cm_check_by_differences(f), _loop_cm_check_by_differences(f))
+
+    def test_u_blocks_match_loop(self, monkeypatch):
+        # a block of 2 u splits the 17 u into 9 calls; the verdict stays the
+        # loop's, also when the witness u (0.01 at t = 1) sits in a later block
+        monkeypatch.setattr(hcmlab.monotone, "BATTERY_BLOCK", 2 * 3 * 25 * 9)
+        for p in (FamilyParams(0.3, 0.6), FamilyParams(0.6, 0.3), FamilyParams(0.3, 1.0)):
+            calls = []
+            f = f_real(p)
+            v = hcm_check(lambda x: calls.append(x.size) or f(x))
+            assert len(calls) == 9
+            assert _same(v, _loop_hcm_check(f))
+
+    @pytest.mark.parametrize("block", [hcmlab.monotone.BATTERY_BLOCK, 3 * 25 * 9])
+    def test_ties_break_in_loop_order(self, monkeypatch, block):
+        # f constant: every difference is 0, so the loop keeps the first entry
+        monkeypatch.setattr(hcmlab.monotone, "BATTERY_BLOCK", block)
+        f = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        assert _same(hcm_check(f, tol=-1.0), _loop_hcm_check(f, tol=-1.0))
+        assert _same(cm_check_by_differences(f, tol=-1.0), _loop_cm_check_by_differences(f, tol=-1.0))
+
+    def test_nan_values_never_certify(self):
+        # f undefined past x = 10: the NaN differences are skipped, not reported
+        f = lambda x: np.where(np.asarray(x) > 10.0, np.nan, np.exp(-np.asarray(x)))
+        for v in (cm_check_by_differences(f), hcm_check(f)):
+            assert v.passed and v.witness is None, v.detail
+
+
+
+class TestBatteryCalls:
+    def test_default_hcm_check_calls_f_once(self):
+        calls = []
+        f = f_real(FamilyParams(0.3, 0.6))
+        hcm_check(lambda x: calls.append((x.ndim, x.dtype, x.size)) or f(x))
+        assert calls == [(1, np.float64, 2 * 17 * 3 * 25 * 9)]
+
+    def test_cm_check_by_differences_calls_f_once(self):
+        calls = []
+        cm_check_by_differences(lambda x: calls.append((x.ndim, x.dtype, x.size)) or np.exp(-x))
+        assert calls == [(1, np.float64, 3 * 40 * 9)]
+
+    def test_large_battery_peak_memory(self):
+        # the CLI's --u-n 400 --w-n 400: 4.3e6 w-stencil points, several hundred
+        # MB if stacked at once; blocks keep the peak to a few MB
+        f = f_real(FamilyParams(0.3, 0.6))
+        hcm_check(f, ScanGrid(1e-4, 1.0, 3), ScanGrid(2.01, 200.0, 5))
+        tracemalloc.start()
+        try:
+            v = hcm_check(f, ScanGrid(1e-4, 1.0, 400), ScanGrid(2.01, 200.0, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed, v.detail
+        assert peak <= 16e6
+
+
+def _family_evaluator(monkeypatch, p):
+    """The f that hcm_check_family hands the battery, and its verdict."""
+    seen = []
+    battery = hcmlab.monotone.hcm_check
+    monkeypatch.setattr(hcmlab.monotone, "hcm_check",
+                        lambda f, *args: seen.append(f) or battery(f, *args))
+    v = hcm_check_family(p)
+    return seen[0], v
+
+
+class TestRealEvaluator:
+    @pytest.mark.parametrize("alpha,t", [(0.1, 0.25), (0.3, 0.5), (0.4, 0.6), (0.5, 0.5),
+                                         (0.2, 0.8), (0.45, 0.13)])
+    def test_battery_minimum_matches_complex_path(self, monkeypatch, alpha, t):
+        p = FamilyParams(alpha, t)
+        fr, _ = _family_evaluator(monkeypatch, p)
+        grids = (ScanGrid(1e-4, 1.0, 17), ScanGrid(2.01, 200.0, 25), 8, (0.05, 0.2, 1.0))
+        m_real, _ = _loop_hcm_min(fr, *grids)
+        m_complex, _ = _loop_hcm_min(f_real(p), *grids)
+        assert abs(m_real - m_complex) <= 1e-13
+
+    def test_statuses_match_complex_path_on_c04_grid(self, monkeypatch):
+        for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
+            for t in (0.25, 0.5, round(1.0 - alpha, 2)):
+                p = FamilyParams(alpha, t)
+                fr, v = _family_evaluator(monkeypatch, p)
+                assert v.status == hcm_check(f_real(p)).status == "PASS", (alpha, t)
+        for alpha, t in ((0.55, 0.3), (0.6, 0.3), (0.7, 0.3)):
+            # these fail before the battery; the two evaluators' batteries still agree
+            p = FamilyParams(alpha, t)
+            fr = lambda x, p=p: 1.0 / p_alpha(x ** p.t, p.alpha)
+            assert hcm_check(fr).status == hcm_check(f_real(p)).status, (alpha, t)
+
+
+class TestIncreaseAtZero:
+    @pytest.mark.parametrize("alpha,t", [(0.51, 0.1), (0.55, 0.1), (0.52, 0.2), (0.5001, 0.01),
+                                         (0.6, 0.3)])
+    def test_alpha_above_half_fails_with_exact_witness(self, alpha, t):
+        with np.errstate(all="raise"):
+            v = hcm_check_family(FamilyParams(alpha, t))
+        assert v.failed and "increasing" in v.detail
+        y, rise = v.witness
+        c, s = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
+        assert y == pytest.approx(-c, rel=1e-15)
+        assert rise == pytest.approx(c * c / (s * s), rel=1e-13)
+        assert rise > 1e-10  # computed directly, not as f - 1
+        # f at x^t = y, from the witness: 1/sin^2, a rise above f(0+) = 1
+        assert 1.0 / (y * y + 2.0 * c * y + 1.0) - 1.0 == pytest.approx(rise, rel=1e-6)
+
+    def test_cli_exits_one_above_half(self, capsys):
+        assert main(["hcm-check", "--alpha", "0.51", "--t", "0.1"]) == 1
+        assert "increasing" in capsys.readouterr().out
+
+    def test_t_zero_is_constant(self):
+        # x^0 = 1: f is the constant 1/(2 + 2 cos pi alpha), which is HCM
+        assert hcm_check_family(FamilyParams(0.7, 0.0)).passed
