@@ -46,6 +46,14 @@ class TestExitCodes:
         assert verdict["status"] == "INCONCLUSIVE"
         assert "RuntimeError" in verdict["detail"] and "CDF table mass" in verdict["detail"]
 
+    def test_nan_cdf_mass_is_inconclusive(self, capsys):
+        # x^(t+s-1) underflows where K_(t-s)(2x) overflows: the table mass is NaN
+        code, rep = run_cli(capsys, "mc-verify", "--check", "sqrt-gamma",
+                            "--t", "20", "--s", "1", "--n", "1000")
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["status"] == "INCONCLUSIVE" and "CDF table mass nan" in verdict["detail"]
+
     @pytest.mark.parametrize("xy", [("800", "1"), ("400", "400")])
     def test_bessel_product_underflow_is_inconclusive(self, capsys, xy):
         code, rep = run_cli(capsys, "mc-verify", "--check", "bessel-product",

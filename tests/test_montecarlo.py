@@ -6,14 +6,14 @@ import pytest
 from scipy.stats import kstest, ks_2samp
 
 import hcmlab.montecarlo
-from hcmlab.densities import cdf_gamma
+from hcmlab.densities import cdf_gamma, density_sqrt_gamma_product
 from hcmlab.montecarlo import (KsReport, SampleSet, ks_statistic,
                                ks_statistic_two_sample, ks_threshold, sample_T_alpha,
                                sample_gamma, sample_positive_stable, verify_T_density,
                                verify_bessel_product_formula, verify_factorization_zinv,
                                verify_half_stable_gamma_identity, verify_kanter_cm,
                                verify_sqrt_gamma_product_density, verify_stable_laplace,
-                               sqrt_gamma_product_cdf_table)
+                               sqrt_gamma_product_cdf_table, _cumulative_simpson)
 from hcmlab.specfun import log_gamma
 
 N = 30_000  # module-test sample size; the acceptance suite runs the full 1e5
@@ -202,8 +202,8 @@ class TestBesselProduct:
         v = verify_bessel_product_formula(0.1, x, y)
         assert v.status == "INCONCLUSIVE" and "underflows" in v.detail
 
-    def test_one_bessel_call_per_level(self, monkeypatch):
-        # the two lhs values, then one array call per tanh_sinh level (at most 11)
+    def test_one_lhs_call_and_one_call_per_level(self, monkeypatch):
+        # K_a(x) and K_a(y) in one call, then one array call per tanh_sinh level (at most 11)
         calls = []
         original = hcmlab.montecarlo.bessel_k
 
@@ -213,8 +213,8 @@ class TestBesselProduct:
 
         monkeypatch.setattr(hcmlab.montecarlo, "bessel_k", counting)
         assert verify_bessel_product_formula(1.0 / 6.0, 1.0, 2.0).passed
-        assert calls[:2] == [1, 1] and len(calls) <= 2 + 11
-        assert sum(calls[2:]) > len(calls) - 2
+        assert calls[0] == 2 and len(calls) <= 1 + 11
+        assert sum(calls[1:]) > len(calls) - 1
 
 
 class TestSqrtGammaCdfTable:
@@ -229,6 +229,24 @@ class TestSqrtGammaCdfTable:
         assert peak <= 4 * 2 ** 20
         assert abs(cdf[-1] - 1.0) <= 1e-5
 
+
+    @pytest.mark.parametrize("t,s", [(1.0, 1.0), (1.0 / 3.0, 2.0 / 3.0), (5.0, 0.2)])
+    def test_simpson_matches_scipy(self, t, s):
+        from scipy.integrate import cumulative_simpson
+        x, cdf = sqrt_gamma_product_cdf_table(t, s)
+        xi = np.linspace(0.0, x[-1] ** 0.2, x.size)
+        dens = np.zeros_like(x)
+        dens[1:] = density_sqrt_gamma_product(x[1:], t, s) * 5.0 * xi[1:] ** 4
+        ref = cumulative_simpson(dens, x=xi, initial=0.0)
+        assert np.max(np.abs(cdf - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
+    def test_simpson_short_grids(self, n):
+        from scipy.integrate import cumulative_simpson
+        xi, d = np.linspace(0.0, 2.0, n, retstep=True)
+        f = np.exp(-xi) * np.cos(3.0 * xi)
+        ref = cumulative_simpson(f, x=xi, initial=0.0)
+        assert np.max(np.abs(_cumulative_simpson(f, d) - ref)) <= 1e-15
 
 class TestKanterCm:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kv, loggamma as scipy_loggamma
 
+import hcmlab.specfun
 from hcmlab.specfun import (BESSEL_BLOCK, FamilyParams, bessel_k, f_family, f_family_prime,
                             log_gamma, p_alpha, pole_locations)
 
@@ -156,6 +159,79 @@ class TestBesselKArray:
                                                      bessel_k(nu, x[cut:])]))
 
 
+
+class TestBesselKBoundedWork:
+    """The flat zone in closed form, odd nodes only after the first level, and a
+    first step per point: the work per point is bounded, the values are not moved."""
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 0.5, 0.99, -0.99, 2.5])
+    def test_tiny_x_against_mpmath(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.geomspace(1e-300, 1e-18, 41)
+        with np.errstate(over="ignore"):
+            got = bessel_k(nu, xs)
+        with mpmath.workdps(30):
+            ref = [mpmath.besselk(nu, mpmath.mpf(x)) for x in xs]
+        finite = [r < np.finfo(float).max for r in ref]
+        assert sum(finite) >= 10
+        for x, g, r, fin in zip(xs, got, ref, finite):
+            if fin and r >= np.finfo(float).tiny:
+                assert abs(g - float(r)) <= 1e-13 * float(r), (nu, x)
+            elif not fin:
+                assert g == math.inf, (nu, x)
+
+    def test_block_of_tiny_x_is_small(self):
+        x = np.full(256, 1e-280)
+        tracemalloc.start()
+        try:
+            got = bessel_k(1.0 / 3.0, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+        assert np.all(got == got[0]) and math.isfinite(got[0])
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The node counts (one per row) of every ``_node_sums`` pass."""
+        seen = []
+        original = hcmlab.specfun._node_sums
+
+        def counting(nu, x, y0, dy, n):
+            seen.append(n)
+            return original(nu, x, y0, dy, n)
+
+        monkeypatch.setattr(hcmlab.specfun, "_node_sums", counting)
+        return seen
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-100, 1e-17, 1e-3, 1.0, 10.0, 100.0, 700.0])
+    def test_nodes_per_point_are_bounded(self, x, passes):
+        # about 4 x 88 nodes at most, where x = 1e-300 took about 9,200 nodes before
+        bessel_k(1.0 / 3.0, x)
+        assert sum(int(n.sum()) for n in passes) <= 450 and len(passes) <= 2
+
+    def test_overflow_is_inf_without_warning(self, passes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(2.5, 1e-200) == math.inf
+            got = bessel_k(2.5, np.array([1e-200, 1.0, 1e-300]))
+        assert got[0] == got[2] == math.inf
+        assert got[1] == bessel_k(2.5, 1.0) and math.isfinite(got[1])
+        # an overflowed point ends after the first pass (four rows), with no further level
+        passes.clear()
+        bessel_k(2.5, np.full(4, 1e-200))
+        assert [n.size for n in passes] == [16]
+
+    def test_coarse_first_step_takes_the_later_levels(self, monkeypatch):
+        # from h = 4 every point needs further single levels, which stop at
+        # different depths; the values are the default ones, each on its own
+        x = np.concatenate([np.geomspace(1e-300, 700.0, 25), [10.0, 41.0, 170.0]])
+        ref = bessel_k(1.0 / 3.0, x)
+        monkeypatch.setattr(hcmlab.specfun, "_STEPS", np.full(5, 4.0))
+        got = bessel_k(1.0 / 3.0, x)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+        assert np.array_equal(got, [bessel_k(1.0 / 3.0, v) for v in x])
+
 class TestPAlpha:
     def test_root(self):
         z = np.exp(1j * (1.0 - 1.0 / 3.0) * math.pi)
@@ -261,6 +337,11 @@ class TestPoleLocations:
         if poles:
             assert poles[0].imag >= 0.0
             assert all(poles[0].real >= z.real for z in poles)
+
+    def test_poles_that_round_together_are_listed_once(self):
+        # m = 1 - alpha and 1 + alpha give the same double-precision pole at alpha = 1e-16
+        poles = pole_locations(FamilyParams(1e-16, 1.5))
+        assert poles == pole_locations(FamilyParams(0.0, 1.5)) and len(poles) == 2
 
     def test_four_poles_past_one_plus_alpha(self):
         # 1 + alpha < t: the second pair m = 1 + alpha joins the principal one

@@ -1,8 +1,9 @@
 """Start-up guard: scipy loads only on the paths that call into it.
 
-``import hcmlab`` and the subcommands that never reach QUADPACK (or the
-scipy.special / cumulative_simpson helpers), both inversion routes among
-them, must leave scipy unloaded; its import is most of a cold CLI process.
+``import hcmlab`` and the subcommands that never reach QUADPACK or the
+scipy.special helpers (both inversion routes, and the sqrt-gamma check with
+its numpy Simpson table, among them) must leave scipy unloaded; its import
+is most of a cold CLI process.
 Each case runs in a fresh interpreter, and the assertions are on
 ``sys.modules``, not on times.
 """
@@ -65,6 +66,7 @@ SCIPY_FREE = {
     "mc-zinv-factorization": ["mc-verify", "--check", "zinv-factorization", "--n", "5000"],
     "mc-stable-laplace": ["mc-verify", "--check", "stable-laplace", "--alpha", "0.3",
                           "--n", "5000"],
+    "mc-sqrt-gamma": ["mc-verify", "--check", "sqrt-gamma", "--n", "5000"],
 }
 
 
