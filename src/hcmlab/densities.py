@@ -30,7 +30,6 @@ __all__ = [
     "mellin_T_alpha",
     "mellin_gamma_mixture_ratio",
     "density_gamma",
-    "cdf_gamma",
     "density_sqrt_gamma_product",
     "density_sqrt_Z_one_third",
     "eval_hcm_product_form",
@@ -115,26 +114,29 @@ def density_gamma(x, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def cdf_gamma(x, t: float):
-    """Regularized lower incomplete gamma, P(gamma_t <= x)."""
-    from scipy.special import gammainc
-
-    if t <= 0.0:
-        raise ValueError("shape must be positive")
-    x = np.asarray(x, dtype=float)
-    out = gammainc(t, np.maximum(x, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
 def density_sqrt_gamma_product(x, t: float, s: float):
-    """Density of sqrt(gamma_t gamma_s): 4 x^{t+s-1} K_{t-s}(2x) / (Gamma(t)Gamma(s))."""
+    """Density of sqrt(gamma_t gamma_s): 4 x^{t+s-1} K_{t-s}(2x) / (Gamma(t)Gamma(s)).
+
+    Taken in logs where x^{t+s-1} or the product is not a normal float, with
+    K_nu(2x) = Gamma(nu)/2 x^-nu where K overflows (x^nu < ~1e-308: exact).
+    """
     if t <= 0.0 or s <= 0.0:
         raise ValueError("shapes must be positive")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("density_sqrt_gamma_product requires x > 0")
     lognorm = (log_gamma(t) + log_gamma(s)).real
-    out = 4.0 * np.exp((t + s - 1.0) * np.log(x) - lognorm) * bessel_k(t - s, 2.0 * x)
+    logx = np.log(x)
+    k = np.asarray(bessel_k(t - s, 2.0 * x))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        power = 4.0 * np.exp((t + s - 1.0) * logx - lognorm)
+        out = power * k
+        redo = ~((np.minimum(power, out) >= np.finfo(float).tiny) & (out < np.inf))
+        if redo.any():
+            nu = abs(t - s)
+            lead = math.log(2.0) + (log_gamma(nu).real if nu else 0.0) + (t + s - 1.0 - nu) * logx
+            logd = np.where(np.isinf(k), lead, math.log(4.0) + np.log(k) + (t + s - 1.0) * logx)
+            out = np.where(redo, np.exp(logd - lognorm), out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,7 +146,8 @@ def density_sqrt_Z_one_third(x):
     if np.any(x <= 0.0):
         raise ValueError("density_sqrt_Z_one_third requires x > 0")
     kvals = bessel_k(1.0 / 3.0, 2.0 / (3.0 * math.sqrt(3.0) * x))
-    out = 2.0 / (3.0 * math.pi * x * x) * kvals
+    # K is 0 below x ~ 5e-4, and x * x underflows below ~1e-154: divide, not 0 * inf
+    out = 2.0 / (3.0 * math.pi) * kvals / x / x
     return float(out) if out.ndim == 0 else out
 
 
@@ -227,15 +230,8 @@ class DensitySpec:
         if 2.0 * t <= 1.0:
             raise ValueError("f_family mass is infinite for t <= 1/2")
         p = FamilyParams(alpha, t)
-        g = lambda x: np.real(f_family(complex(x), p))
-        v1, _ = quad_checked(g, 0.0, 1.0)
-        v2, _ = quad_checked(lambda u: g(math.exp(u)) * math.exp(u), 0.0, 60.0 / (2 * t - 1))
-        return v1 + v2
+        return quad_checked(lambda x: np.real(f_family(complex(x), p)), 0.0, np.inf)[0]
 
     def mass(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         """Total integral over (0, inf), computed by adaptive quadrature."""
-        pdf = self.pdf
-        v1, _ = quad_checked(lambda x: pdf(x), 0.0, 1.0, spec)
-        # map the tail to a finite interval through x = e^u
-        v2, _ = quad_checked(lambda u: pdf(math.exp(u)) * math.exp(u), 0.0, 80.0, spec)
-        return v1 + v2
+        return quad_checked(self.pdf, 0.0, np.inf, spec)[0]

@@ -239,12 +239,12 @@ def sign_change_lemma_check(h, x0_bracket, q: QuadratureSpec = DEFAULT_QUAD,
     if h(0.5 * x0) >= 0.0 or h(2.0 * hi) <= 0.0:
         raise SignChangeError("sign pattern is not negative-then-positive")
 
-    total = (quad_checked(h, 0.0, x0, q)[0] + quad_checked(h, x0, np.inf, q)[0])
+    split = lambda w: quad_checked(w, 0.0, x0, q)[0] + quad_checked(w, x0, np.inf, q)[0]
+    total = split(h)
     lams = np.geomspace(1e-2, 1e2, 9)
     offenders = []
     for lam in lams:
-        v = (quad_checked(lambda x: h(x) * math.exp(-lam * x), 0.0, x0, q)[0]
-             + quad_checked(lambda x: h(x) * math.exp(-lam * x), x0, x0 + 80.0 / lam, q)[0])
+        v = split(lambda x: h(x) * math.exp(-lam * x))
         if v > tol:
             offenders.append((float(lam), float(v)))
     if total > tol:

@@ -9,11 +9,8 @@ rotated onto the ray where the oscillation decays (147 fixed G10/K21 nodes).
 Both also take many integrals at once (panels tagged with a group index;
 arrays of frequency and start), still with one integrand call per pass,
 which is how the Bromwich and branch-cut routes invert a whole lam grid.
-``quad_checked`` wraps scipy's QUADPACK for the scalar integrands
-elsewhere in the package (the forward transform, density normalizations).
-scipy is imported on the first ``quad_checked`` call, not with this
-module, so ``import hcmlab`` and every path that never reaches QUADPACK
-load numpy only.
+``quad_checked`` maps the scalar integrands elsewhere in the package onto
+the panel rule by a double-exponential change of variable.
 """
 
 from __future__ import annotations
@@ -47,22 +44,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
-
-
-def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
-    """scipy.integrate.quad under a QuadratureSpec; raises on failure.
-
-    scipy.integrate is imported here, on the first call, so only the
-    processes that reach QUADPACK pay for its import (most of a cold CLI
-    start).  Returns (value, error_estimate).
-    """
-    from scipy.integrate import quad
-
-    out = quad(f, a, b, limit=spec.max_subdivisions, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-               full_output=1)
-    if len(out) > 3:
-        raise ConvergenceError(f"quad did not converge on [{a}, {b}]: {out[3]}")
-    return out[0], out[1]
 
 
 # --------------------------------------------------------------------------
@@ -165,6 +146,49 @@ def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD, group=No
                 f"gauss_kronrod_panels: {bisections[k]} bisections exceed the budget of "
                 f"{spec.max_subdivisions} on [{a0[grp0 == k].min()}, {b0[grp0 == k].max()}]")
         a, b, grp = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([grp, grp])
+
+
+def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
+    """int_a^b f(x) dx for a scalar ``f``, a finite and b finite or inf.
+
+    The double-exponential map x = a + (b - a) s, or a + s/(1 - s) for
+    b = inf, with s = (1 + tanh(pi/2 sinh u))/2 formed as an offset from its
+    nearer end, turns endpoint singularities and the infinite range into
+    decay in u, taken on ``gauss_kronrod_panels`` over 0.5-wide panels of u in
+    [-6, hi]: hi = 6, less where f overflows at the far end of [a, inf).
+    ``f`` is called once per node inside (a, b); nodes that round onto a
+    nonzero end are dropped, so place a singularity at 0, as for
+    ``tanh_sinh``.  err adds the truncation |F(-6)| + |F(hi)| of the mapped
+    integrand F.  Returns (value, err).
+    """
+    if not (math.isfinite(a) and a < b):
+        raise ValueError(f"quad_checked needs finite a < b, got [{a}, {b}]")
+
+    def mapped(u):
+        sh = 0.5 * math.pi * np.sinh(u)
+        near = 1.0 / (1.0 + np.exp(2.0 * np.abs(sh)))  # min(s, 1 - s)
+        s, r = np.where(sh < 0.0, near, 1.0 - near), np.where(sh < 0.0, 1.0 - near, near)
+        ds = math.pi * np.cosh(u) * s * r
+        if math.isinf(b):
+            x, dx = a + s / r, ds / r / r
+        else:
+            x, dx = np.where(sh < 0.0, a + (b - a) * s, b - (b - a) * r), (b - a) * ds
+        with np.errstate(over="ignore"):  # x reaches ~1e275, where x * x overflows toward f = 0
+            fx = [f(v) if a < v < b else 0.0 for v in x.tolist()]
+        return np.array(fx, dtype=float) * dx
+
+    def end(u):  # |F(u)|, NaN where f overflows
+        try:
+            with np.errstate(invalid="ignore"):
+                return abs(float(mapped(np.array([u]))[0]))
+        except OverflowError:
+            return math.nan
+
+    hi = 6.0  # pulled in while f overflows there, as x^2 e^-x does at x ~ 1e275
+    while not math.isfinite(tail := end(hi)) and hi > 3.0:
+        hi -= 0.5
+    value, err = gauss_kronrod_panels(mapped, np.arange(-6.0, hi + 0.25, 0.5), spec)
+    return value, err + end(-6.0) + tail
 
 
 # --------------------------------------------------------------------------

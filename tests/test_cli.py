@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import hcmlab.montecarlo
 from hcmlab.cli import EX_USAGE, main
 
 
@@ -46,13 +48,23 @@ class TestExitCodes:
         assert verdict["status"] == "INCONCLUSIVE"
         assert "RuntimeError" in verdict["detail"] and "CDF table mass" in verdict["detail"]
 
-    def test_nan_cdf_mass_is_inconclusive(self, capsys):
-        # x^(t+s-1) underflows where K_(t-s)(2x) overflows: the table mass is NaN
+    def test_nan_cdf_mass_is_inconclusive(self, capsys, monkeypatch):
+        # a NaN density makes the table mass NaN, which must not pass the mass check
+        monkeypatch.setattr(hcmlab.montecarlo, "density_sqrt_gamma_product",
+                            lambda x, t, s: np.full_like(x, np.nan))
         code, rep = run_cli(capsys, "mc-verify", "--check", "sqrt-gamma",
                             "--t", "20", "--s", "1", "--n", "1000")
         assert code == 2
         (verdict,) = rep["verdicts"]
         assert verdict["status"] == "INCONCLUSIVE" and "CDF table mass nan" in verdict["detail"]
+
+    def test_sqrt_gamma_far_apart_shapes_pass(self, capsys):
+        # x^(t+s-1) underflows where K_(t-s)(2x) overflows; the density is ~2x/19 there
+        code, rep = run_cli(capsys, "mc-verify", "--check", "sqrt-gamma",
+                            "--t", "20", "--s", "1", "--n", "1000")
+        assert code == 0
+        (verdict,) = rep["verdicts"]
+        assert verdict["status"] == "PASS"
 
     @pytest.mark.parametrize("xy", [("800", "1"), ("400", "400")])
     def test_bessel_product_underflow_is_inconclusive(self, capsys, xy):

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -115,6 +117,18 @@ class TestSqrtGammaProduct:
                       0.0, 40.0, epsabs=1e-11, limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("t,s", [(20.0, 1.0), (1.0, 20.0), (5.0, 0.2), (2.5, 1.0)])
+    def test_tiny_x_against_mpmath(self, t, s):
+        # x^(t+s-1) underflows or K_(t-s)(2x) overflows here; the density is ~2x/19 at (20, 1)
+        x = np.geomspace(1e-300, 1e-10, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = density_sqrt_gamma_product(x, t, s)
+        with mpmath.workdps(30):
+            ref = [float(4 * mpmath.mpf(v) ** (t + s - 1) * mpmath.besselk(t - s, 2 * mpmath.mpf(v))
+                         / (mpmath.gamma(t) * mpmath.gamma(s))) for v in x]
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             density_sqrt_gamma_product(-1.0, 1.0, 1.0)
@@ -132,6 +146,13 @@ class TestSqrtZOneThird:
 
     def test_vanishes_at_origin(self):
         assert density_sqrt_Z_one_third(1e-4) < 1e-30
+
+    def test_zero_where_x_squared_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert density_sqrt_Z_one_third(1e-155) == 0.0
+            assert density_sqrt_Z_one_third(1e-300) == 0.0
+            assert np.all(density_sqrt_Z_one_third(np.array([1e-155, 1e-300])) == 0.0)
 
 
 class TestHcmProductForm:
@@ -181,6 +202,16 @@ class TestDensitySpec:
     ])
     def test_mass_is_one(self, spec):
         assert spec.mass() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [0.55, 0.75, 2.0, 3.0])
+    def test_f_family_normalization_closed_form(self, t):
+        # int_0^inf dx / (x^2t + 2 cos(pi a) x^t + 1)
+        #   = (pi/t) sin((1 - 1/t) pi a) / (sin(pi/t) sin(pi a)); f(1) = 1 / (2 + 2 cos(pi a))
+        a = 0.3
+        norm = (math.pi / t) * math.sin((1.0 - 1.0 / t) * math.pi * a) / (
+            math.sin(math.pi / t) * math.sin(math.pi * a))
+        got = DensitySpec("f_family_normalized", (a, t)).pdf(1.0)
+        assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * norm), rel=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 from scipy.stats import kstest, ks_2samp
 
 import hcmlab.montecarlo
-from hcmlab.densities import cdf_gamma, density_sqrt_gamma_product
+from hcmlab.densities import density_sqrt_gamma_product
 from hcmlab.montecarlo import (KsReport, SampleSet, ks_statistic,
                                ks_statistic_two_sample, ks_threshold, sample_T_alpha,
                                sample_gamma, sample_positive_stable, verify_T_density,
@@ -55,7 +56,7 @@ class TestGammaSampler:
 
     def test_ks_against_incomplete_gamma(self):
         s = sample_gamma(0.5, N, seed=6)
-        stat = ks_statistic(s.values, lambda x: cdf_gamma(x, 0.5))
+        stat = ks_statistic(s.values, lambda x: gammainc(0.5, x))
         assert stat < ks_threshold(N, 0.05)
 
 
@@ -219,7 +220,7 @@ class TestBesselProduct:
 
 class TestSqrtGammaCdfTable:
     def test_peak_memory(self):
-        sqrt_gamma_product_cdf_table(1.0, 1.0)  # pays the scipy import outside the trace
+        sqrt_gamma_product_cdf_table(1.0, 1.0)  # first-call costs stay outside the trace
         tracemalloc.start()
         try:
             x, cdf = sqrt_gamma_product_cdf_table(1.0, 1.0)
@@ -258,8 +259,8 @@ class TestKanterCm:
 class TestKsMachinery:
     def test_one_sample_matches_scipy(self):
         s = sample_gamma(1.0, 2000, seed=30)
-        mine = ks_statistic(s.values, lambda x: cdf_gamma(x, 1.0))
-        ref = kstest(s.values, lambda x: cdf_gamma(x, 1.0)).statistic
+        mine = ks_statistic(s.values, lambda x: gammainc(1.0, x))
+        ref = kstest(s.values, lambda x: gammainc(1.0, x)).statistic
         assert mine == pytest.approx(ref, abs=1e-12)
 
     def test_two_sample_matches_scipy(self):

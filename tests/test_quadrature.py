@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
@@ -42,10 +43,48 @@ class TestTanhSinh:
         assert val == pytest.approx(math.pi, abs=1e-6)
 
 
+def _erf_oracle(complement):
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(3)
+        return float(mpmath.sqrt(mpmath.pi / 3) * (mpmath.erfc(r) if complement else mpmath.erf(r)))
+
+
 class TestQuadChecked:
     def test_basic(self):
         val, err = quad_checked(lambda x: math.exp(-x), 0.0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    def test_scalar_float_nodes(self):
+        seen = set()
+        quad_checked(lambda x: seen.add(type(x)) or math.exp(-x) * math.sqrt(x), 0.0, 3.0)
+        assert seen == {float}
+
+    @pytest.mark.parametrize("f,a,b,exact", [
+        (lambda x: x ** -0.5 * math.exp(-3.0 * x), 0.0, 1.0, _erf_oracle(False)),
+        (lambda x: x ** -0.5 * math.exp(-3.0 * x), 1.0, np.inf, _erf_oracle(True)),
+        (lambda x: x ** -0.9, 0.0, 1.0, 10.0),
+        (lambda x: x ** -1.4, 1.0, np.inf, 2.5),
+        (lambda x: math.exp(-x), 0.0, np.inf, 1.0),
+        # int_0^20 e^{-x/5} cos(7x) dx = Re[(e^{20 (7i - 1/5)} - 1) / (7i - 1/5)]
+        (lambda x: math.exp(-0.2 * x) * math.cos(7.0 * x), 0.0, 20.0,
+         ((np.exp(20.0 * (7j - 0.2)) - 1.0) / (7j - 0.2)).real),
+    ])
+    def test_closed_forms(self, f, a, b, exact):
+        val, err = quad_checked(f, a, b)
+        assert val == pytest.approx(exact, rel=1e-13, abs=1e-15)
+        assert err >= abs(val - exact)
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_power_overflows_at_far_end(self, k):
+        # x ** k raises OverflowError near x ~ 1e275, where e^-x is long 0
+        val, err = quad_checked(lambda x: x ** k * math.exp(-x), 0.0, np.inf)
+        assert val == pytest.approx(math.factorial(k), rel=1e-13)
+        assert err >= abs(val - math.factorial(k))
+
+    @pytest.mark.parametrize("a,b", [(1.0, 0.0), (1.0, 1.0), (-np.inf, 0.0)])
+    def test_bad_range(self, a, b):
+        with pytest.raises(ValueError):
+            quad_checked(math.exp, a, b)
 
     def test_exhaustion_raises(self):
         q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)

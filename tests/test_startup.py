@@ -1,13 +1,14 @@
-"""Start-up guard: scipy loads only on the paths that call into it.
+"""Start-up guard: scipy never loads.
 
-``import hcmlab`` and the subcommands that never reach QUADPACK or the
-scipy.special helpers (both inversion routes, and the sqrt-gamma check with
-its numpy Simpson table, among them) must leave scipy unloaded; its import
-is most of a cold CLI process.
-Each case runs in a fresh interpreter, and the assertions are on
+``import hcmlab``, every subcommand and the scalar-quadrature paths (the
+forward transform, the density normalizations and the sign-change lemma)
+run on numpy alone, and no module of the package imports scipy; its
+import would be most of a cold CLI process.
+Each run case uses a fresh interpreter, and the assertions are on
 ``sys.modules``, not on times.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -28,14 +29,32 @@ sys.stdout.write("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules
 """
 
 
-def run_fresh(argv):
-    """(exit code, report or None, loaded module names) of one fresh interpreter."""
+_LIBRARY_CHILD = """\
+import json, math, sys
+from hcmlab import DensitySpec, laplace_forward, sign_change_lemma_check
+kinds = [("T_alpha", (0.3,)), ("gamma", (0.5,)), ("sqrt_gamma_product", (1.0, 1.0)),
+         ("sqrt_Z_one_third", ()), ("f_family_normalized", (0.3, 0.75))]
+out = {"forward": laplace_forward(lambda lam: 1.0, 2.0),
+       "masses": [DensitySpec(kind, params).mass() for kind, params in kinds],
+       "lemma": sign_change_lemma_check(lambda x: (x - 1.0) * math.exp(-x), (0.1, 10.0)).passed,
+       "modules": sorted(sys.modules)}
+sys.stdout.write(json.dumps(out) + "\\n")
+"""
+
+
+def fresh_stdout(child, *args):
+    """stdout lines of the script ``child`` run by a fresh interpreter with src on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", child, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
+    return proc.stdout.strip().splitlines()
+
+
+def run_fresh(argv):
+    """(exit code, report or None, loaded module names) of one fresh interpreter."""
+    lines = fresh_stdout(_CHILD, json.dumps(argv))
     tail = json.loads(lines[-1])
     report = json.loads(lines[0]) if len(lines) > 1 else None
     return tail["code"], report, set(tail["modules"])
@@ -80,3 +99,26 @@ def test_subcommand_leaves_scipy_unloaded(name, tmp_path):
     if name == "invert-both":
         (agreement,) = [v for v in report["verdicts"] if v["name"] == "method_agreement"]
         assert agreement["status"] == "PASS"
+
+
+def test_scalar_quadrature_paths_leave_scipy_unloaded():
+    (line,) = fresh_stdout(_LIBRARY_CHILD)
+    out = json.loads(line)
+    assert out["forward"] == pytest.approx(0.5, abs=1e-10)
+    assert out["masses"] == pytest.approx([1.0] * 5, abs=1e-8)
+    assert out["lemma"]
+    assert "hcmlab.laplace" in out["modules"] and "scipy" not in out["modules"]
+
+
+def test_no_package_module_imports_scipy():
+    offenders = []
+    for path in sorted((SRC / "hcmlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert not offenders
