@@ -41,12 +41,17 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _positive(x, name):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError(f"{name} requires x > 0")
+    return x
+
+
 def density_T_alpha(x, alpha: float):
     """Density sin(pi a) / (pi a (x^2 + 2 cos(pi a) x + 1)) on (0, inf)."""
     _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("density_T_alpha requires x > 0")
+    x = _positive(x, "density_T_alpha")
     c = math.cos(math.pi * alpha)
     out = math.sin(math.pi * alpha) / (math.pi * alpha * (x * x + 2.0 * c * x + 1.0))
     return float(out) if out.ndim == 0 else out
@@ -106,9 +111,7 @@ def density_gamma(x, t: float):
     """Gamma density x^{t-1} e^{-x} / Gamma(t)."""
     if t <= 0.0:
         raise ValueError("shape must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("density_gamma requires x > 0")
+    x = _positive(x, "density_gamma")
     lognorm = log_gamma(t).real
     out = np.exp((t - 1.0) * np.log(x) - x - lognorm)
     return float(out) if out.ndim == 0 else out
@@ -122,9 +125,7 @@ def density_sqrt_gamma_product(x, t: float, s: float):
     """
     if t <= 0.0 or s <= 0.0:
         raise ValueError("shapes must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("density_sqrt_gamma_product requires x > 0")
+    x = _positive(x, "density_sqrt_gamma_product")
     lognorm = (log_gamma(t) + log_gamma(s)).real
     logx = np.log(x)
     k = np.asarray(bessel_k(t - s, 2.0 * x))
@@ -142,9 +143,7 @@ def density_sqrt_gamma_product(x, t: float, s: float):
 
 def density_sqrt_Z_one_third(x):
     """Density of sqrt(Z_{1/3}): (2 / (3 pi x^2)) K_{1/3}(2 / (3 sqrt(3) x))."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("density_sqrt_Z_one_third requires x > 0")
+    x = _positive(x, "density_sqrt_Z_one_third")
     kvals = bessel_k(1.0 / 3.0, 2.0 / (3.0 * math.sqrt(3.0) * x))
     # K is 0 below x ~ 5e-4, and x * x underflows below ~1e-154: divide, not 0 * inf
     out = 2.0 / (3.0 * math.pi) * kvals / x / x
@@ -174,9 +173,7 @@ class HcmProductForm:
 
 def eval_hcm_product_form(form: HcmProductForm, x):
     """Evaluate the product form at x > 0; strictly positive there."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("eval_hcm_product_form requires x > 0")
+    x = _positive(x, "eval_hcm_product_form")
     logv = math.log(form.c) + form.a * np.log(x)
     for ci, bi in form.factors:
         logv = logv - bi * np.log1p(ci * x)
@@ -227,10 +224,11 @@ class DensitySpec:
     @cached_property
     def _f_norm(self) -> float:
         alpha, t = self.params
-        if 2.0 * t <= 1.0:
-            raise ValueError("f_family mass is infinite for t <= 1/2")
-        p = FamilyParams(alpha, t)
-        return quad_checked(lambda x: np.real(f_family(complex(x), p)), 0.0, np.inf)[0]
+        if 2.0 * t <= 1.0 or alpha >= 1.0:
+            raise ValueError("f_family mass is infinite for t <= 1/2 or alpha = 1")
+        # (pi/t) sin(pi a w)/(sin(pi w) sin(pi a)), w = 1 - 1/t, as sincs: no branch at t = 1, a = 0
+        w = (t - 1.0) / t
+        return float(np.sinc(alpha * w) / (t * np.sinc(alpha) * np.sinc(w)))
 
     def mass(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         """Total integral over (0, inf), computed by adaptive quadrature."""

@@ -148,55 +148,63 @@ def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD, group=No
         a, b, grp = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([grp, grp])
 
 
+# --------------------------------------------------------------------------
+# Double-exponential rules (Takahasi-Mori), quad_checked and tanh-sinh: nodes
+# are offsets from the nearer end, so they never round onto an end at 0.
+# --------------------------------------------------------------------------
+
+def _de_map(u, a, b):
+    """Nodes x(u) on (a, b) and dx/du: x = a + (b - a) s, or a + s/(1 - s) for
+    b = inf, where s = (1 + tanh(pi/2 sinh u))/2 and min(s, 1 - s) = 1/(1 + e^{pi |sinh u|})."""
+    sh = 0.5 * math.pi * np.sinh(u)
+    near = 1.0 / (1.0 + np.exp(2.0 * np.abs(sh)))  # min(s, 1 - s)
+    s, r = np.where(sh < 0.0, near, 1.0 - near), np.where(sh < 0.0, 1.0 - near, near)
+    ds = math.pi * np.cosh(u) * s * r
+    if math.isinf(b):
+        return a + s / r, ds / r / r
+    return np.where(sh < 0.0, a + (b - a) * s, b - (b - a) * r), (b - a) * ds
+
+
 def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
     """int_a^b f(x) dx for a scalar ``f``, a finite and b finite or inf.
 
-    The double-exponential map x = a + (b - a) s, or a + s/(1 - s) for
-    b = inf, with s = (1 + tanh(pi/2 sinh u))/2 formed as an offset from its
-    nearer end, turns endpoint singularities and the infinite range into
+    ``_de_map`` turns endpoint singularities and the infinite range into
     decay in u, taken on ``gauss_kronrod_panels`` over 0.5-wide panels of u in
-    [-6, hi]: hi = 6, less where f overflows at the far end of [a, inf).
-    ``f`` is called once per node inside (a, b); nodes that round onto a
-    nonzero end are dropped, so place a singularity at 0, as for
-    ``tanh_sinh``.  err adds the truncation |F(-6)| + |F(hi)| of the mapped
-    integrand F.  Returns (value, err).
+    [-6, hi]: hi = 6, less where f overflows at the far end of [a, inf).  f is
+    called once per node inside (a, b); nodes that round onto a nonzero end
+    are dropped.  The mapped integrand |F| at the last node kept at each end
+    stands for what is left out: err adds it, and above max(abs_tol, rel_tol
+    |value|) it raises ConvergenceError, as for a tail too slow for x up to
+    ~1e275, a singularity at a nonzero end (place it at 0) or a range narrower
+    than ~1e-4 |a|.  err is no bound for an integrand that oscillates on
+    [a, inf), whose far u-panels hold many periods.  Returns (value, err).
     """
     if not (math.isfinite(a) and a < b):
         raise ValueError(f"quad_checked needs finite a < b, got [{a}, {b}]")
 
-    def mapped(u):
-        sh = 0.5 * math.pi * np.sinh(u)
-        near = 1.0 / (1.0 + np.exp(2.0 * np.abs(sh)))  # min(s, 1 - s)
-        s, r = np.where(sh < 0.0, near, 1.0 - near), np.where(sh < 0.0, 1.0 - near, near)
-        ds = math.pi * np.cosh(u) * s * r
-        if math.isinf(b):
-            x, dx = a + s / r, ds / r / r
-        else:
-            x, dx = np.where(sh < 0.0, a + (b - a) * s, b - (b - a) * r), (b - a) * ds
-        with np.errstate(over="ignore"):  # x reaches ~1e275, where x * x overflows toward f = 0
-            fx = [f(v) if a < v < b else 0.0 for v in x.tolist()]
-        return np.array(fx, dtype=float) * dx
-
-    def end(u):  # |F(u)|, NaN where f overflows
+    def mapped(u):  # NaN where f overflows
+        x, dx = _de_map(u, a, b)
         try:
-            with np.errstate(invalid="ignore"):
-                return abs(float(mapped(np.array([u]))[0]))
+            with np.errstate(over="ignore", invalid="ignore"):  # x * x overflows at x ~ 1e275
+                return np.array([f(v) if a < v < b else 0.0 for v in x.tolist()], dtype=float) * dx
         except OverflowError:
-            return math.nan
+            return np.full(x.shape, math.nan)
 
+    end = lambda u: abs(float(mapped(np.array([u]))[0]))  # |F(u)|
+    # |u| <= 6 of the last node kept at each end c: its offset span e^{-pi sinh|u|} >= ulp(c)
+    span = b - a if math.isfinite(b) else 1.0
+    lo, top = (min(6.0, math.asinh(max(math.log(span) - math.log(math.ulp(c)), 0.0) / math.pi))
+               for c in (a, b if math.isfinite(b) else 0.0))
     hi = 6.0  # pulled in while f overflows there, as x^2 e^-x does at x ~ 1e275
-    while not math.isfinite(tail := end(hi)) and hi > 3.0:
+    while not math.isfinite(end(hi)) and hi > 3.0:
         hi -= 0.5
     value, err = gauss_kronrod_panels(mapped, np.arange(-6.0, hi + 0.25, 0.5), spec)
-    return value, err + end(-6.0) + tail
+    cut = end(-lo) + end(min(hi, top))
+    if not cut <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+        raise ConvergenceError(f"quad_checked: the mapped integrand is {cut:.3e} at the ends "
+                               f"of [{a}, {b}] left out, above the tolerance")
+    return value, err + cut
 
-
-# --------------------------------------------------------------------------
-# tanh-sinh on a finite interval.  Nodes are generated as offsets from the
-# nearest endpoint (1 +- tanh(s) computed in stable form), so integrable
-# endpoint singularities are handled without the abscissa ever rounding
-# onto the endpoint.
-# --------------------------------------------------------------------------
 
 _TS_UMAX = 6.1  # beyond this the weights are ~e^-700
 
@@ -207,15 +215,10 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
     ``f`` receives an ndarray of abscissae strictly inside (a, b) and must
     return the integrand values; integrable endpoint singularities are
     fine.  The step is halved, at most ten times, until two refinements
-    agree to ``tol`` (mixed absolute/relative).
-
-    Abscissae are generated as offsets from the nearest endpoint, which is
-    exact when that endpoint is 0; a singularity at a nonzero endpoint is
-    resolved only to the rounding of ``endpoint - offset`` (~1e-8 relative
+    agree to ``tol`` (mixed absolute/relative).  A singularity at a nonzero
+    end is resolved only to the rounding of ``end - offset`` (~1e-8 relative
     for an inverse-square-root blowup), so place singularities at 0.
     """
-    d = 0.5 * (b - a)
-    total = 0.0
     prev = None
     for level in range(11):
         h = 0.5 ** level
@@ -223,14 +226,10 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
         k = np.arange(-kmax, kmax + 1)
         if level > 0:
             k = k[k % 2 != 0]
-        u = k * h
-        sh = 0.5 * math.pi * np.sinh(u)
-        w = (0.5 * math.pi * np.cosh(u)) / np.cosh(sh) ** 2
-        off = 2.0 * d / (1.0 + np.exp(2.0 * np.abs(sh)))
-        x = np.where(sh < 0, a + off, b - off)
+        x, w = _de_map(k * h, a, b)
         good = (x > a) & (x < b) & (w > 1e-290)
         s = float(np.sum(w[good] * f(x[good])))
-        total = d * h * s if level == 0 else 0.5 * prev + d * h * s
+        total = h * s if level == 0 else 0.5 * prev + h * s
         if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
             return total
         prev = total

@@ -12,6 +12,7 @@ from hcmlab.densities import (DensitySpec, HcmProductForm, cdf_T_alpha,
                               density_T_alpha, eval_hcm_product_form,
                               mellin_gamma_mixture_ratio, mellin_T_alpha)
 from hcmlab.monotone import ScanGrid, cm_check_by_differences
+from hcmlab.quadrature import ConvergenceError
 from tests_support_mellin import mellin_by_quadrature
 
 
@@ -203,7 +204,7 @@ class TestDensitySpec:
     def test_mass_is_one(self, spec):
         assert spec.mass() == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("t", [0.55, 0.75, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.501, 0.51, 0.55, 0.75, 2.0, 3.0])
     def test_f_family_normalization_closed_form(self, t):
         # int_0^inf dx / (x^2t + 2 cos(pi a) x^t + 1)
         #   = (pi/t) sin((1 - 1/t) pi a) / (sin(pi/t) sin(pi a)); f(1) = 1 / (2 + 2 cos(pi a))
@@ -212,6 +213,34 @@ class TestDensitySpec:
             math.sin(math.pi / t) * math.sin(math.pi * a))
         got = DensitySpec("f_family_normalized", (a, t)).pdf(1.0)
         assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * norm), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3])
+    def test_f_family_normalization_at_t1(self, a):
+        # int_0^inf dx / (x^2 + 2 cos(phi) x + 1) = phi / sin(phi), phi = pi a (1 at a = 0)
+        norm = math.pi * a / math.sin(math.pi * a) if a else 1.0
+        got = DensitySpec("f_family_normalized", (a, 1.0)).pdf(1.0)
+        assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * norm), rel=1e-14)
+
+    def test_f_family_normalization_mpmath(self):
+        # y = x^t: (1/t) int_0^inf y^(1/t - 1) / (y^2 + 2 cos(pi a) y + 1) dy
+        a, t = 0.7, 0.8
+        with mpmath.workdps(30):
+            norm = mpmath.quad(lambda y: y ** (1 / mpmath.mpf(t) - 1)
+                               / (y * y + 2 * mpmath.cospi(a) * y + 1), [0, 1, mpmath.inf]) / t
+        got = DensitySpec("f_family_normalized", (a, t)).pdf(1.0)
+        assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * float(norm)),
+                                    rel=1e-13)
+
+    @pytest.mark.parametrize("params", [(0.3, 0.5), (1.0, 0.75)])
+    def test_f_family_infinite_mass(self, params):
+        with pytest.raises(ValueError):
+            DensitySpec("f_family_normalized", params).pdf(1.0)
+
+    @pytest.mark.parametrize("t", [0.501, 0.51])
+    def test_mass_with_tail_beyond_reach_raises(self, t):
+        # the tail x^-2t left past x ~ 1e275 is 3e-6 (t = 0.51) to 28% (t = 0.501) of the mass
+        with pytest.raises(ConvergenceError, match="left out"):
+            DensitySpec("f_family_normalized", (0.3, t)).mass()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,24 @@ class TestQuadChecked:
         assert val == pytest.approx(math.factorial(k), rel=1e-13)
         assert err >= abs(val - math.factorial(k))
 
+    @pytest.mark.parametrize("f,a,b", [
+        # singular at a nonzero end: the nodes within one ulp of it round onto it
+        (lambda x: (1.0 - x) ** -0.5, 0.0, 1.0),
+        (lambda x: (x - 1.0) ** -0.5 * math.exp(-x), 1.0, np.inf),
+        # x^-1.002 beyond x ~ 1e275, past the last node, is 28% of the integral
+        (lambda x: x ** -1.002, 1.0, np.inf),
+        # the last ulp at each end holds 1.2e-7 of the integral, far above rel_tol
+        (lambda x: x * x, 1e6, 1e6 + 1e-3),
+    ], ids=["root-at-1", "root-at-1-to-inf", "slow-tail", "narrow-at-1e6"])
+    def test_left_out_ends_raise(self, f, a, b):
+        with pytest.raises(ConvergenceError, match="left out"):
+            quad_checked(f, a, b)
+
+    def test_overflow_inside_is_nan_not_traceback(self):
+        # 10.0 ** x raises OverflowError past x = 308: NaN nodes, so the rule cannot converge
+        with pytest.raises(ConvergenceError):
+            quad_checked(lambda x: 10.0 ** x, 300.0, 400.0, QuadratureSpec(max_subdivisions=8))
+
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (1.0, 1.0), (-np.inf, 0.0)])
     def test_bad_range(self, a, b):
         with pytest.raises(ValueError):
