@@ -20,6 +20,7 @@ locations stay exactly computable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .quadrature import (DEFAULT_QUAD, ConvergenceError, QuadratureSpec,
                          quad_checked)
-from .specfun import FamilyParams, p_alpha, pole_locations
+from .specfun import FamilyParams, pole_locations
 from .laplace import bromwich_invert
 
 __all__ = [
@@ -267,6 +268,41 @@ def _v_of_w(w):
     return 0.5 * (w + np.sqrt(w * w - 4.0))
 
 
+@functools.lru_cache(maxsize=8)
+def _battery_grids(u_grid: ScanGrid, w_grid: ScanGrid, order: int, steps: tuple):
+    """u and w points and the w stencil, shape (order + 1, 1, steps, w); read-only, shared."""
+    if w_grid.lo <= 2.0:
+        raise ValueError("w grid must start above 2")
+    us, ws = u_grid.points(), w_grid.points()
+    w = _stencil(ws, order, steps)[:, None]
+    us.flags.writeable = ws.flags.writeable = w.flags.writeable = False
+    return us, ws, w
+
+
+def _hcm_battery(product, u_grid, w_grid, order, steps, tol) -> Verdict:
+    """CM-in-w battery of product(u, w) = f(uv) f(u/v), one call per block of u.
+
+    ``product`` gets a block of u, shape (u, 1, 1), and the w stencil, shape
+    (order + 1, 1, steps, w), and returns the (order + 1, u, steps, w) table;
+    a block is as many u as fit ``BATTERY_BLOCK`` table entries, at least one.
+    """
+    u_grid, w_grid = u_grid or ScanGrid(1e-4, 1.0, 17), w_grid or ScanGrid(2.01, 200.0, 25)
+    us, ws, w = _battery_grids(u_grid, w_grid, order, tuple(steps))
+    per_block = max(1, BATTERY_BLOCK // w.size)
+    worst, warg = math.inf, None
+    for lo in range(0, us.size, per_block):
+        m, (iu, s, k, i) = _diff_battery_min(product(us[lo:lo + per_block, None, None], w))
+        if m < worst:
+            worst, warg = m, (float(us[lo + iu]), float(ws[i]), float(steps[s]), k + 1)
+    if worst >= -tol:
+        return Verdict(PASS, tol, detail=(
+            f"min normalized w-difference {worst:.3e} over u in {u_grid}, w in {w_grid}, "
+            f"order <= {order}; evidence, not proof"))
+    u, w, hrel, k = warg
+    return Verdict(FAIL, tol, witness=((u, w), worst),
+                   detail=f"CM-in-w violated at u = {u:.6g}, w = {w:.6g}, h = {hrel:.3g} w, k = {k}")
+
+
 def hcm_check(f, u_grid: ScanGrid | None = None, w_grid: ScanGrid | None = None,
               order: int = 8, steps=(0.05, 0.2, 1.0), tol: float = 1e-9) -> Verdict:
     """Black-box HCM battery: CM-in-w test of f(uv) f(u/v) for each u.
@@ -282,30 +318,13 @@ def hcm_check(f, u_grid: ScanGrid | None = None, w_grid: ScanGrid | None = None,
     exponentially weak failures just past the family's HCM boundary (use
     ``hcm_check_family`` for those).
     """
-    if u_grid is None:
-        u_grid = ScanGrid(1e-4, 1.0, 17)
-    if w_grid is None:
-        w_grid = ScanGrid(2.01, 200.0, 25)
-    if w_grid.lo <= 2.0:
-        raise ValueError("w grid must start above 2")
-    ws, us = w_grid.points(), u_grid.points()
-    v = _v_of_w(_stencil(ws, order, steps))
-    per_block = max(1, BATTERY_BLOCK // v.size)
-    worst, warg = math.inf, None
-    for lo in range(0, us.size, per_block):
-        u = us[lo:lo + per_block, None, None]
-        x = np.stack([u * v[:, None], u / v[:, None]])  # (2, order + 1, u, steps, w)
+    def product(u, w):
+        v = _v_of_w(w)
+        x = np.stack([u * v, u / v])  # (2, order + 1, u, steps, w)
         fx = f(x.ravel()).reshape(x.shape)
-        m, (iu, s, k, i) = _diff_battery_min(fx[0] * fx[1])
-        if m < worst:
-            worst, warg = m, (float(us[lo + iu]), float(ws[i]), float(steps[s]), k + 1)
-    if worst >= -tol:
-        return Verdict(PASS, tol, detail=(
-            f"min normalized w-difference {worst:.3e} over u in {u_grid}, w in {w_grid}, "
-            f"order <= {order}; evidence, not proof"))
-    u, w, hrel, k = warg
-    return Verdict(FAIL, tol, witness=((u, w), worst),
-                   detail=f"CM-in-w violated at u = {u:.6g}, w = {w:.6g}, h = {hrel:.3g} w, k = {k}")
+        return fx[0] * fx[1]
+
+    return _hcm_battery(product, u_grid, w_grid, order, steps, tol)
 
 
 def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
@@ -322,7 +341,8 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
        at y = x^t = -cos(pi alpha), in closed form.  An HCM function with
        0 < f(0+) < inf is CM (Bondesson 1992: f = C x^{beta-1} h1(x)
        h2(1/x), h1 and h2 Laplace transforms of GGCs), so cannot rise;
-    3. the black-box battery of ``hcm_check``, on real-arithmetic f.
+    3. the battery of ``hcm_check`` on the closed form ``hcm_product_rewrite``
+       (17 + 675 real powers for the default table, no f call).
 
     Routes 1 and 2 are the analytic obstructions; they certify failures
     the battery cannot see numerically.
@@ -338,27 +358,28 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
         return Verdict(FAIL, tol, witness=(y, rise), detail=(
             f"f increasing from f(0+) = 1: f - 1 = cot^2(pi alpha) = {rise:.6e} at "
             f"x^t = {y:.6g} (log x = {math.log(y) / p.t:.6g}); not CM, hence not HCM"))
-    return hcm_check(lambda x: 1.0 / p_alpha(x ** p.t, p.alpha), u_grid, w_grid, order, steps, tol)
+    return _hcm_battery(lambda u, w: hcm_product_rewrite(p, u, w),
+                        u_grid, w_grid, order, steps, tol)
 
 
-def hcm_product_rewrite(p: FamilyParams, u: float, w: float) -> float:
-    """Closed form of f(uv) f(u/v) in the hyperbolic variables.
+def hcm_product_rewrite(p: FamilyParams, u, w):
+    """Closed form of f(uv) f(u/v) in the hyperbolic variables, v + 1/v = w.
 
-    Equals 1/(u^4t + c^2 u^2t + 1 + c (u^t + u^3t) w_t + u^2t w_2t) with
-    c = 2 cos(pi alpha) and w_a = v^a + v^-a; exact algebraic identity
-    with the direct product.
+    With s = u^t, c = 2 cos(pi alpha) and w_t = v^t + v^-t it is, exactly,
+    1/((s^2 - 1)^2 + c^2 s^2 + c (s + s^3) w_t + s^2 w_t^2).  u and w broadcast
+    (a scalar pair gives a float); ValueError unless all finite, u > 0, w >= 2.
     """
-    if w < 2.0 or u <= 0.0:
-        raise ValueError("requires w >= 2 and u > 0")
-    v = _v_of_w(w)
-    c = 2.0 * p.cos_pi_alpha
-    t = p.t
-    w_t = v ** t + v ** (-t)
-    w_2t = v ** (2 * t) + v ** (-2 * t)
-    ut = u ** t
-    denom = (ut ** 4 + c * c * ut ** 2 + 1.0
-             + c * (ut + ut ** 3) * w_t + ut ** 2 * w_2t)
-    return 1.0 / denom
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    if not (0.0 < u.min() and u.max() < math.inf and 2.0 <= w.min() and w.max() < math.inf):
+        raise ValueError("hcm_product_rewrite requires finite u > 0 and w >= 2")  # NaN too
+    c, s = 2.0 * p.cos_pi_alpha, u ** p.t
+    vt = _v_of_w(w) ** p.t
+    w_t, s2 = vt + 1.0 / vt, s * s
+    d = s2 * w_t + c * (s + s * s2)  # Horner in w_t
+    d *= w_t
+    d += (s2 - 1.0) ** 2 + c * c * s2
+    out = 1.0 / d
+    return float(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------

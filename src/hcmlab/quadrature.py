@@ -198,7 +198,11 @@ def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
     hi = 6.0  # pulled in while f overflows there, as x^2 e^-x does at x ~ 1e275
     while not math.isfinite(end(hi)) and hi > 3.0:
         hi -= 0.5
-    value, err = gauss_kronrod_panels(mapped, np.arange(-6.0, hi + 0.25, 0.5), spec)
+    try:
+        value, err = gauss_kronrod_panels(mapped, np.arange(-6.0, hi + 0.25, 0.5), spec)
+    except ConvergenceError as exc:
+        msg = f"quad_checked: no convergence on [{a}, {b}] ({exc}, in the mapped u)"
+        raise ConvergenceError(msg) from exc
     cut = end(-lo) + end(min(hi, top))
     if not cut <= max(spec.abs_tol, spec.rel_tol * abs(value)):
         raise ConvergenceError(f"quad_checked: the mapped integrand is {cut:.3e} at the ends "

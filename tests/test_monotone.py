@@ -1,9 +1,11 @@
+import contextlib
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hcmlab.laplace
@@ -14,7 +16,7 @@ from hcmlab.monotone import (ScanGrid, SignChangeError, Verdict,
                              hcm_product_rewrite, sign_change_lemma_check)
 from hcmlab.laplace import branch_cut_kernel
 from hcmlab.cli import main
-from hcmlab.specfun import FamilyParams, f_family, p_alpha
+from hcmlab.specfun import FamilyParams, f_family
 
 
 def f_real(p):
@@ -246,6 +248,26 @@ class TestHcmProductRewrite:
         f1 = f_family(1.0, p).real
         assert hcm_product_rewrite(p, 1.0, 2.0) == pytest.approx(f1 * f1, rel=1e-12)
 
+    def test_broadcast_matches_scalar_calls_and_direct_product(self):
+        p = FamilyParams(0.3, 0.6)
+        u, w = np.array([[0.01], [0.4], [1.3]]), np.array([2.0, 2.5, 7.0, 150.0])
+        got = hcm_product_rewrite(p, u, w)
+        assert got.shape == (3, 4)
+        v = 0.5 * (w + np.sqrt(w * w - 4.0))
+        f = f_real(p)
+        np.testing.assert_allclose(got, f(u * v) * f(u / v), rtol=1e-12)
+        for i, j in np.ndindex(got.shape):
+            scalar = hcm_product_rewrite(p, float(u[i, 0]), float(w[j]))
+            assert type(scalar) is float and scalar == pytest.approx(got[i, j], rel=1e-15)
+
+    @pytest.mark.parametrize("u,w", [(1.0, math.nan), (math.nan, 2.5), (1.0, math.inf),
+                                     (math.inf, 2.5), (0.0, 2.5), (1.0, 1.999),
+                                     (np.array([0.5, -1.0]), 3.0),
+                                     (np.array([0.5, 1.0]), np.array([3.0, math.nan]))])
+    def test_rejects_bad_or_non_finite_input(self, u, w):
+        with pytest.raises(ValueError, match="finite u > 0 and w >= 2"):
+            hcm_product_rewrite(FamilyParams(0.2, 0.5), u, w)
+
     def test_alpha_half_reduction(self):
         # c = 2 cos(pi/2) = 0 kills the cross term
         p = FamilyParams(0.5, 0.3)
@@ -444,38 +466,77 @@ class TestBatteryCalls:
         assert peak <= 16e6
 
 
-def _family_evaluator(monkeypatch, p):
-    """The f that hcm_check_family hands the battery, and its verdict."""
+    def test_family_battery_peak_memory(self):
+        # the closed-form table goes in the same blocks as the black-box battery
+        grids = ScanGrid(1e-4, 1.0, 400), ScanGrid(2.01, 200.0, 400)
+        hcm_check_family(FamilyParams(0.3, 0.6), ScanGrid(1e-4, 1.0, 3), ScanGrid(2.01, 200.0, 5))
+        tracemalloc.start()
+        try:
+            v = hcm_check_family(FamilyParams(0.3, 0.6), *grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed, v.detail
+        assert peak <= 16e6
+
+    def test_family_table_is_one_rewrite_call_per_block(self, monkeypatch):
+        # the default 17 u are one block; a block of 2 u splits them into 9 calls
+        shapes = []
+        rewrite = hcmlab.monotone.hcm_product_rewrite
+        monkeypatch.setattr(hcmlab.monotone, "hcm_product_rewrite", lambda p, u, w: shapes.append(
+            np.broadcast_shapes(u.shape, w.shape)) or rewrite(p, u, w))
+        ps = (FamilyParams(0.3, 0.6), FamilyParams(0.45, 0.13))
+        whole = [hcm_check_family(p) for p in ps]
+        assert shapes == [(9, 17, 3, 25)] * 2
+        shapes.clear()
+        monkeypatch.setattr(hcmlab.monotone, "BATTERY_BLOCK", 2 * 3 * 25 * 9)
+        assert all(_same(hcm_check_family(p), v) for p, v in zip(ps, whole))
+        assert shapes == ([(9, 2, 3, 25)] * 8 + [(9, 1, 3, 25)]) * 2
+
+    def test_steps_as_list(self):
+        f = f_real(FamilyParams(0.3, 1.0))
+        assert _same(hcm_check(f, steps=[0.05, 0.2, 1.0]), hcm_check(f))
+        p = FamilyParams(0.3, 0.6)
+        assert _same(hcm_check_family(p, steps=[0.05, 0.2, 1.0]), hcm_check_family(p))
+
+
+def _family_battery_min(monkeypatch, p):
+    """The battery minimum over hcm_check_family's closed-form table, and its verdict."""
     seen = []
-    battery = hcmlab.monotone.hcm_check
-    monkeypatch.setattr(hcmlab.monotone, "hcm_check",
-                        lambda f, *args: seen.append(f) or battery(f, *args))
+    battery_min = hcmlab.monotone._diff_battery_min
+
+    def spy(vals):
+        seen.append(battery_min(vals))
+        return seen[-1]
+
+    monkeypatch.setattr(hcmlab.monotone, "_diff_battery_min", spy)
     v = hcm_check_family(p)
-    return seen[0], v
+    return min(m for m, _ in seen), v
 
 
 class TestRealEvaluator:
+    """The family battery's closed-form table against the complex direct path."""
+
     @pytest.mark.parametrize("alpha,t", [(0.1, 0.25), (0.3, 0.5), (0.4, 0.6), (0.5, 0.5),
                                          (0.2, 0.8), (0.45, 0.13)])
     def test_battery_minimum_matches_complex_path(self, monkeypatch, alpha, t):
         p = FamilyParams(alpha, t)
-        fr, _ = _family_evaluator(monkeypatch, p)
+        m_closed, _ = _family_battery_min(monkeypatch, p)
         grids = (ScanGrid(1e-4, 1.0, 17), ScanGrid(2.01, 200.0, 25), 8, (0.05, 0.2, 1.0))
-        m_real, _ = _loop_hcm_min(fr, *grids)
         m_complex, _ = _loop_hcm_min(f_real(p), *grids)
-        assert abs(m_real - m_complex) <= 1e-13
+        assert abs(m_closed - m_complex) <= 1e-13
 
-    def test_statuses_match_complex_path_on_c04_grid(self, monkeypatch):
+    def test_statuses_match_complex_path_on_c04_grid(self):
         for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
             for t in (0.25, 0.5, round(1.0 - alpha, 2)):
                 p = FamilyParams(alpha, t)
-                fr, v = _family_evaluator(monkeypatch, p)
-                assert v.status == hcm_check(f_real(p)).status == "PASS", (alpha, t)
+                assert hcm_check_family(p).status == hcm_check(f_real(p)).status == "PASS", (alpha, t)
         for alpha, t in ((0.55, 0.3), (0.6, 0.3), (0.7, 0.3)):
-            # these fail before the battery; the two evaluators' batteries still agree
+            # these fail before the battery; the closed-form and complex batteries still agree
             p = FamilyParams(alpha, t)
-            fr = lambda x, p=p: 1.0 / p_alpha(x ** p.t, p.alpha)
-            assert hcm_check(fr).status == hcm_check(f_real(p)).status, (alpha, t)
+            closed = hcmlab.monotone._hcm_battery(lambda u, w: hcm_product_rewrite(p, u, w),
+                                                  None, None, 8, (0.05, 0.2, 1.0), 1e-9)
+            assert closed.status == hcm_check(f_real(p)).status, (alpha, t)
 
 
 class TestIncreaseAtZero:
@@ -500,3 +561,36 @@ class TestIncreaseAtZero:
     def test_t_zero_is_constant(self):
         # x^0 = 1: f is the constant 1/(2 + 2 cos pi alpha), which is HCM
         assert hcm_check_family(FamilyParams(0.7, 0.0)).passed
+
+
+@st.composite
+def _off_boundary_family(draw):
+    """(alpha, t) in [0, 1] x (0, 3], at least 1e-3 from alpha = 1/2 and from t = 1 - alpha."""
+    alpha = draw(st.floats(0.0, 1.0))
+    t = draw(st.floats(0.0, 3.0, exclude_min=True))
+    assume(abs(alpha - 0.5) >= 1e-3 and abs(t - (1.0 - alpha)) >= 1e-3)
+    return alpha, t
+
+
+def _theorem_says_hcm(alpha, t):
+    return alpha <= 0.5 and t <= 1.0 - alpha
+
+
+class TestTheorem:
+    @settings(max_examples=100, deadline=None)
+    @given(_off_boundary_family())
+    def test_family_verdict_passes_iff_in_hcm_region(self, at):
+        v = hcm_check_family(FamilyParams(*at))
+        assert v.passed == _theorem_says_hcm(*at), v.detail
+        assert v.status != "INCONCLUSIVE"
+
+    @settings(max_examples=15, deadline=None)
+    @given(_off_boundary_family())
+    def test_cli_exit_code_follows_theorem(self, at):
+        alpha, t = at
+        assume(0.0 < alpha < 1.0)  # the CLI's domain for --alpha
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["hcm-check", "--alpha", repr(alpha), "--t", repr(t)])
+        assert code == (0 if _theorem_says_hcm(alpha, t) else 1), out.getvalue()
+        assert "Traceback" not in err.getvalue() + out.getvalue()

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import hcmlab.pick
 from hcmlab.monotone import ScanGrid
 from hcmlab.pick import (HalfPlaneScan, figure2_data, ggc_pick_scan, h_negative_axis,
                          h_value, stieltjes_probe, write_figure2_csv)
 from hcmlab.monotone import cm_check_by_inversion
-from hcmlab.specfun import FamilyParams, f_family
+from hcmlab.specfun import FamilyParams, f_family, p_alpha
 
 P_FIG2 = FamilyParams.from_eps(0.2, 0.1)  # alpha = 1/5, eps = 1/10
 
@@ -90,6 +91,41 @@ class TestGgcPickScan:
             HalfPlaneScan(im_levels=(0.0, 1.0))
         with pytest.raises(ValueError):
             HalfPlaneScan(re_range=(5.0, -5.0))
+        with pytest.raises(ValueError):
+            HalfPlaneScan(im_levels=())
+
+    @pytest.mark.parametrize("alpha,t", [(0.2, 0.7), (0.4, 0.55), (0.1, 0.85), (0.3, 0.0)])
+    def test_one_call_scan_matches_level_loop(self, monkeypatch, alpha, t):
+        # reference: one h call per level, z^(t-1) as a power, strict < across levels
+        p, scan = FamilyParams(alpha, t), HalfPlaneScan(n_per_level=501)
+        re = np.linspace(*scan.re_range, scan.n_per_level)
+        m, marg = math.inf, None
+        for level in scan.im_levels:
+            z = re + 1j * level
+            zt = z ** t
+            hs = -2.0 * t * np.imag(z ** (t - 1.0) * (zt + p.cos_pi_alpha) / p_alpha(zt, alpha))
+            i = int(np.argmin(hs))
+            if hs[i] < m:
+                m, marg = float(hs[i]), (float(re[i]), float(level))
+        # the negative axis (closed form here) usually holds the minimum: hide it
+        calls = []
+        monkeypatch.setattr(hcmlab.pick, "h_negative_axis", lambda rho, p: np.full(rho.shape, np.inf))
+        monkeypatch.setattr(hcmlab.pick, "h_value", lambda z, p: calls.append(z.shape) or h_value(z, p))
+        loc, got = ggc_pick_scan(p, scan).witness
+        assert calls == [(4, 501)]
+        assert loc == marg
+        assert got == pytest.approx(m, rel=0, abs=1e-14 * max(1.0, abs(m)))
+
+    def test_ties_break_to_the_first_level(self, monkeypatch):
+        # equal minima on levels 0 and 2: the level loop kept the first level's
+        def h_ties(z, p):
+            hs = np.zeros(z.shape)
+            hs[0, 5] = hs[2, 1] = -1.0
+            return hs
+        monkeypatch.setattr(hcmlab.pick, "h_negative_axis", lambda rho, p: np.full(rho.shape, np.inf))
+        monkeypatch.setattr(hcmlab.pick, "h_value", h_ties)
+        scan = HalfPlaneScan(re_range=(0.0, 10.0), n_per_level=11)
+        assert ggc_pick_scan(FamilyParams(0.2, 0.7), scan).witness == ((5.0, 0.01), -1.0)
 
     def test_fig2_parameters_pass(self):
         v = ggc_pick_scan(P_FIG2)

@@ -109,6 +109,12 @@ class TestQuadChecked:
         with pytest.raises(ConvergenceError):
             quad_checked(lambda x: math.sin(50.0 * x) * math.cos(91.3 * x), 0.0, 20.0, q)
 
+    def test_exhaustion_names_the_integration_range(self):
+        # the panel engine works in the mapped u; the error names [a, b]
+        with pytest.raises(ConvergenceError, match=r"on \[0\.0, 20\.0\]") as info:
+            quad_checked(lambda x: math.sin(50.0 * x) * math.cos(91.3 * x), 0.0, 20.0)
+        assert isinstance(info.value.__cause__, ConvergenceError)
+
 
 class TestGaussKronrodPanels:
     LOOSE = QuadratureSpec(abs_tol=1.0, rel_tol=1.0)  # every panel retires on the first pass
