@@ -368,18 +368,31 @@ def hcm_product_rewrite(p: FamilyParams, u, w):
     With s = u^t, c = 2 cos(pi alpha) and w_t = v^t + v^-t it is, exactly,
     1/((s^2 - 1)^2 + c^2 s^2 + c (s + s^3) w_t + s^2 w_t^2).  u and w broadcast
     (a scalar pair gives a float); ValueError unless all finite, u > 0, w >= 2.
+    Where the s^4 and c s^3 w_t terms overflow (to inf - inf when c < 0), the
+    entry is recomputed from D(s) = s^4 D(1/s), as r^4 / D(r) with r = 1/s.
     """
     u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     if not (0.0 < u.min() and u.max() < math.inf and 2.0 <= w.min() and w.max() < math.inf):
         raise ValueError("hcm_product_rewrite requires finite u > 0 and w >= 2")  # NaN too
     c, s = 2.0 * p.cos_pi_alpha, u ** p.t
     vt = _v_of_w(w) ** p.t
-    w_t, s2 = vt + 1.0 / vt, s * s
-    d = s2 * w_t + c * (s + s * s2)  # Horner in w_t
+    w_t = vt + 1.0 / vt
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(1.0 / _product_denominator(s, w_t, c))
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out)
+            r = 1.0 / np.broadcast_to(s, out.shape)[bad]
+            out[bad] = r ** 4 / _product_denominator(r, np.broadcast_to(w_t, out.shape)[bad], c)
+    return float(out) if out.ndim == 0 else out
+
+
+def _product_denominator(s, w_t, c):
+    """D(s) = s^2 w_t^2 + c (s + s^3) w_t + (s^2 - 1)^2 + c^2 s^2, Horner in w_t."""
+    s2 = s * s
+    d = s2 * w_t + c * (s + s * s2)
     d *= w_t
     d += (s2 - 1.0) ** 2 + c * c * s2
-    out = 1.0 / d
-    return float(out) if out.ndim == 0 else out
+    return d
 
 
 # --------------------------------------------------------------------------

@@ -17,12 +17,15 @@ that negative-axis form and reports the scanned minimum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import FamilyParams, f_family, pole_locations
 from .monotone import FAIL, INCONCLUSIVE, PASS, ScanGrid, Verdict
+
+_LOG_MAX = math.log(sys.float_info.max)  # exp of it is the largest float, to an ulp
 
 __all__ = [
     "HalfPlaneScan",
@@ -86,11 +89,34 @@ def h_negative_axis(rho, p: FamilyParams):
         raise ValueError("rho must be positive")
     c = p.cos_pi_alpha
     phi = (alpha + eps) * math.pi
-    d = rho * rho * np.exp(2j * math.pi * t) + 2.0 * c * rho * np.exp(1j * math.pi * t) + 1.0
-    amp = 2.0 * t * rho ** (-(alpha + eps) / t) / np.abs(d) ** 2
+    amp = 2.0 * t * rho ** (-(alpha + eps) / t) / _cut_d2(rho, p)
     r = math.cos(phi) / c
     out = amp * c * math.sin(phi) * ((rho - r) ** 2 + 1.0 - r * r)
     return float(out) if out.ndim == 0 else out
+
+
+def _cut_d2(rho, p: FamilyParams):
+    """|d|^2, d = rho^2 e^(2i pi t) + 2 cos(pi a) rho e^(i pi t) + 1: f = 1/d on the cut."""
+    t, c = p.t, p.cos_pi_alpha
+    d = rho * rho * np.exp(2j * math.pi * t) + 2.0 * c * rho * np.exp(1j * math.pi * t) + 1.0
+    return np.abs(d) ** 2
+
+
+def _h_cut(rho: np.ndarray, p: FamilyParams) -> np.ndarray:
+    """h on the negative axis, from above, at x = rho^(1/t), for any pole-free p.
+
+    h(-x) = A sin(pi t) [cos(pi a) (rho^2 + 1) + 2 rho cos(pi t)] with
+    A = 2t rho^(-(1-t)/t) / |d|^2 >= 0, so h has the sign of the bracket.
+    |h| is taken in logs, where rho^(-(1-t)/t) alone can overflow at small t,
+    and clamped to the largest float: the sign is always right and every
+    value finite.  No division by cos(pi a), and no x.
+    """
+    t, c = p.t, p.cos_pi_alpha
+    bracket = c * (rho * rho + 1.0) + 2.0 * rho * math.cos(math.pi * t)
+    with np.errstate(divide="ignore"):  # a zero bracket is h = 0
+        log_h = (math.log(2.0 * t) + math.log(math.sin(math.pi * t)) - (1.0 - t) / t * np.log(rho)
+                 - np.log(_cut_d2(rho, p)) + np.log(np.abs(bracket)))
+    return np.copysign(np.exp(np.minimum(log_h, _LOG_MAX)), bracket)
 
 
 def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
@@ -100,7 +126,10 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
     An immediate FAIL (with the principal pole, first in ``pole_locations``,
     as witness) is returned when the continuation has poles, i.e. when
     t > 1 - alpha.  Otherwise the verdict records the minimum of one h call
-    on all the lines and one on the negative axis; the true infimum is 0.
+    on all the lines and one closed form on the negative axis, over
+    rho = x^t in [1e-4, 1e4]; the true infimum is 0.  At small t, x and h
+    there leave the float range: the witness then clamps both to finite
+    floats, and keeps the sign of h.
     """
     poles = pole_locations(p)
     if poles:
@@ -119,13 +148,14 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
         if p.alpha + p.eps < 0.5 and 0.0 < p.alpha < 0.5 and p.eps > 0.0:
             hb = h_negative_axis(rho, p)
         else:
-            # boundary approached from just above the cut
-            x = rho ** (1.0 / p.t)
-            hb = h_value(x * np.exp(1j * (math.pi - 1e-8)), p)
+            hb = _h_cut(rho, p)
         i = int(np.argmin(hb))
         if hb[i] < m:
             m = float(hb[i])
-            marg = (float(-(rho[i] ** (1.0 / p.t))), 0.0)
+            with np.errstate(over="ignore", under="ignore"):
+                x = rho[i] ** (1.0 / p.t)
+            # x leaves the float range at small t: the witness clamps it
+            marg = (-min(max(float(x), sys.float_info.min), sys.float_info.max), 0.0)
     if m >= -tol:
         return Verdict(PASS, tol, witness=(marg, m),
                        detail=f"scanned minimum m_hat = {m:.3e} >= -{tol:.1e} "

@@ -15,7 +15,9 @@ callers (see the half-plane scan module).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,22 +119,23 @@ def log_gamma(z) -> complex:
 
 
 # --------------------------------------------------------------------------
-# Modified Bessel function of the second kind via its integral representation
-#       K_nu(x) = int_0^inf cosh(nu y) exp(-x cosh y) dy.
-# The integrand is even in y and decays doubly exponentially, so the
-# trapezoidal rule on a uniform grid converges geometrically in 1/h; the
-# step is halved until two consecutive levels agree.
+# Modified Bessel function of the second kind.  Below x = 2, Temme's series
+# (N. M. Temme, J. Comput. Phys. 19, 324-337, 1975) for K_mu and K_mu+1,
+# |mu| <= 1/2, then upward recurrence in the order; from x = 2, the
+# trapezoidal rule on the integral representation
+#       K_nu(x) = int_0^inf cosh(nu y) exp(-x cosh y) dy,
+# whose integrand is even in y and decays doubly exponentially, so the rule
+# converges geometrically in 1/h; the step is halved until two consecutive
+# levels agree.
 # --------------------------------------------------------------------------
 
 # Points per block of ``bessel_k``: a block's flattened (point, node) arrays
 # are the largest temporaries, so the block size bounds the memory of a call
 # on a long x array (about 3.5 MB at most).
 BESSEL_BLOCK = 256
-# Stopping rule of every point: two consecutive levels agree to this
-# relative difference.
+# Stopping rule of every trapezoid point: two consecutive levels agree to
+# this relative difference.
 BESSEL_RTOL = 1e-13
-# Below x cosh y = 2^-54, exp(-x cosh y) rounds to 1.0.
-_FLAT = 2.0 ** -54
 # First step 0.5 / 2^m, m the number of these edges at or below x: the
 # largest 0.5 / 2^m below 1.6 / sqrt(x), the integrand's width.  Every x
 # above the last edge keeps 0.5 / 2^4 (K underflows from x ~ 750).
@@ -140,48 +143,146 @@ _STEP_EDGES = 10.24 * 4.0 ** np.arange(4)
 _STEPS = 0.5 ** np.arange(1, 6)
 _FIRST_STEPS = np.array([[1.0], [0.5], [0.25]])  # of levels 0-2, in units of the first
 _LOG2 = math.log(2.0)
+# Taylor coefficients of 1/Gamma(1 + z) (Abramowitz & Stegun 6.1.34, shifted
+# by one), enough for 1e-18 on |z| <= 1/2.
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+)
+# Terms k = 0 .. 15 of Temme's series (a power of two, for Estrin's scheme):
+# the k-th is about (x^2/4)^k / (k!)^2, below 1e-20 of the sum from k = 13 on
+# for every x < 2.
+_TEMME_TERMS = 16
 
 
 def bessel_k(nu: float, x):
     """K_nu(x) for real order nu and x > 0, elementwise over an array x.
 
-    Computed by the trapezoidal rule on the cosh integral representation,
-    truncated where the integrand falls below e^-60 of its scale.  Where
-    x cosh y < 2^-54 the factor exp(-x cosh y) rounds to 1.0, so that stretch
-    of the sum is taken in closed form, sinh(nu a) h / (2 tanh(nu h / 2));
-    nodes are evaluated only on the rest, about 44 units of y per point at
-    most.  Each point starts at the step 0.5, or at the largest 0.5 / 2^m
-    below 1.6 / sqrt(x) (the integrand's width), and each halving evaluates
-    only the new odd nodes, until two levels agree to ``BESSEL_RTOL``
-    (at most 12 levels).  A scalar x returns a float, an array x an array of
-    the same shape; every point is computed on its own, so a value does not
-    depend on the rest of the array.
+    Below x = 2, Temme's series: with mu = nu - round(nu), |mu| <= 1/2, its
+    first 16 terms in x^2/4 give K_mu and K_mu+1 (one polynomial evaluation
+    per point, on coefficients computed once per call), and upward recurrence
+    in the order gives K_nu.  From x = 2, the trapezoidal rule on the cosh
+    integral representation, truncated where the integrand falls below e^-60
+    of its scale: each point starts at the step 0.5, or at the largest
+    0.5 / 2^m below 1.6 / sqrt(x) (the integrand's width), and each halving
+    evaluates only the new odd nodes, until two levels agree to
+    ``BESSEL_RTOL`` (at most 12 levels).  A scalar x returns a float, an
+    array x an array of the same shape; every point is computed on its own,
+    so a value does not depend on the rest of the array.
 
     Relative accuracy ~1e-13 wherever K_nu(x) is a normal float, for x in
     [1e-300, 700] and |nu| <= 2.5 (tested against mpmath), and ~1e-10 for
-    x in [1e-3, 50], |nu| <= 5 (tested against scipy); the representation
-    itself is valid for every real nu and is even in nu.  Where K_nu(x)
+    x in [1e-3, 50], |nu| <= 5 (tested against scipy); both methods are
+    valid for every real nu, and the result is even in nu.  Where K_nu(x)
     overflows the result is +inf, without a warning; x = +inf gives the
-    limit 0.0.  Raises ValueError for a non-finite nu, or for an x that is
-    NaN, not positive, or so small (< ~3e-307) that the truncation point
-    overflows.
+    limit 0.0.  Raises ValueError for a non-finite nu, for an x that is NaN,
+    not positive, or subnormal (below 2.2e-308), and, from x = 2, for an
+    order so large that 5 |nu| overflows (below 2 that order gives inf).
     """
     if not math.isfinite(nu):
         raise ValueError(f"bessel_k requires a finite order, got {nu}")
     x = np.asarray(x, dtype=float)
-    bad = ~(x > 0.0)
+    bad = ~(x >= sys.float_info.min)
     if bad.any():
-        raise ValueError(f"bessel_k requires x > 0, got {x[bad].flat[0]}")
+        raise ValueError(f"bessel_k requires x > 0, not subnormal, got {x[bad].flat[0]}")
     flat = x.ravel()
     out = np.empty(flat.shape)
+    nu = abs(nu)
+    series = None  # built once some x is below 2
     for i in range(0, flat.size, BESSEL_BLOCK):
-        out[i:i + BESSEL_BLOCK] = _bessel_k_block(abs(nu), flat[i:i + BESSEL_BLOCK])
+        xb, ob = flat[i:i + BESSEL_BLOCK], out[i:i + BESSEL_BLOCK]
+        small = xb < 2.0
+        if small.any():
+            series = series or _temme_coefficients(nu)
+            ob[small] = _temme_series(series, xb[small])
+        if not small.all():
+            ob[~small] = _trapezoid_block(nu, xb[~small])
     out = out.reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _bessel_k_block(nu: float, x: np.ndarray) -> np.ndarray:
-    """Trapezoid sums for a 1-d block of x and nu >= 0: one pass over the
+@functools.lru_cache(maxsize=64)  # a quadrature calls one order level after level
+def _temme_coefficients(nu: float) -> tuple:
+    """Everything of Temme's series that depends on nu >= 0 alone.
+
+    With mu = nu - n, n = round(nu), y = x^2/4 and the series' starting terms
+    f0, p0 = Gamma(1+mu) (x/2)^-mu / 2, q0 = Gamma(1-mu) (x/2)^mu / 2,
+
+        K_mu   = f0 F(y) + p0 B(y) + q0 E(y),
+        K_mu+1 = (2/x) [p0 B1(y) - f0 F1(y) - q0 E1(y)],
+
+    six polynomials of degree 15 whose coefficients follow from Temme's
+    recurrences f_k = (k f_k-1 + p_k-1 + q_k-1) / (k^2 - mu^2),
+    p_k = p_k-1 / (k - mu), q_k = q_k-1 / (k + mu) with the (x^2/4)^k / k!
+    folded in.  Returns (mu, n, mu pi / sin mu pi, Gamma_1, Gamma_2,
+    1/Gamma(1+mu), 1/Gamma(1-mu), rows), the rows of K_mu+1 only when n >= 1.
+    """
+    n = int(nu + 0.5)
+    mu = nu - n
+    m2 = mu * mu
+    # Gamma_1,2 = (1/Gamma(1-mu) -+ 1/Gamma(1+mu)) / (2 mu, 2), from the
+    # Taylor series, so Gamma_1 keeps its digits as mu -> 0
+    g1 = g2 = 0.0
+    for k in range(len(_RGAMMA_TAYLOR) - 2, -1, -2):
+        g1 = g1 * m2 + _RGAMMA_TAYLOR[k + 1]
+        g2 = g2 * m2 + _RGAMMA_TAYLOR[k]
+    g1 = -g1
+    rows = np.empty((6, _TEMME_TERMS))
+    f, b, e, p, q = 1.0, 0.0, 0.0, 1.0, 1.0  # per unit f0, p0, q0, over k!
+    for k in range(_TEMME_TERMS):
+        if k:
+            d = k * k - m2
+            f, b, e = f / d, (b + p / k) / d, (e + q / k) / d
+            p, q = p / (k * (k - mu)), q / (k * (k + mu))
+        rows[:, k] = f, b, e, p - k * b, k * f, k * e
+    rows = rows[:3] if n == 0 else rows
+    rows.flags.writeable = False  # shared by every call of the cache
+    fact = 1.0 if mu == 0.0 else math.pi * mu / math.sin(math.pi * mu)
+    return mu, n, fact, g1, g2, g2 - mu * g1, g2 + mu * g1, rows
+
+
+def _temme_series(coef: tuple, x: np.ndarray) -> np.ndarray:
+    """K_nu(x) for 0 < x < 2 from ``_temme_coefficients(nu)``."""
+    mu, n, fact, g1, g2, rgp, rgm, rows = coef
+    with np.errstate(over="ignore"):  # an overflow is K = inf
+        d = np.log(2.0 / x)
+        e = np.power(0.5 * x, -mu)  # e^sigma, sigma = mu d, to an ulp
+        ch = 0.5 * (e + 1.0 / e)
+        if abs(mu) < 1e-150:  # sinh(sigma) / mu = d to double precision
+            shm = d
+        else:  # sinh(sigma) / mu, from e where sigma is large enough not to cancel
+            sigma = mu * d
+            shm = np.sinh(sigma)
+            big = np.abs(sigma) >= 1.0
+            shm[big] = 0.5 * (e[big] - 1.0 / e[big])
+            shm /= mu
+        f0 = fact * (g1 * ch + g2 * shm)
+        p0 = 0.5 * e / rgp
+        q0 = 0.5 / (e * rgm)
+        y = 0.25 * x * x
+        acc = rows[:, :, None]
+        while acc.shape[1] > 1:  # Estrin's scheme in y, all rows at once
+            acc = acc[:, 0::2] + acc[:, 1::2] * y
+            y = y * y
+        acc = acc[:, 0]
+        k0 = f0 * acc[0] + p0 * acc[1] + q0 * acc[2]
+        if n == 0:
+            return k0
+        k1 = 2.0 / x * (p0 * acc[3] - f0 * acc[4] - q0 * acc[5])
+        for i in range(1, n):  # K_mu+i+1 = 2 (mu + i) / x K_mu+i + K_mu+i-1
+            if np.isinf(k1).all():  # K grows with the order: inf from here on
+                break
+            k0, k1 = k1, 2.0 * (mu + i) / x * k1 + k0
+    return k1
+
+
+def _trapezoid_block(nu: float, x: np.ndarray) -> np.ndarray:
+    """Trapezoid sums for a 1-d block of x >= 2 and nu >= 0: one pass over the
     ragged (row, node) set for the first three levels, then one per further
     level; converged points drop out."""
     # an overflow here is K = inf or a zero term, and inf - inf in the first
@@ -190,44 +291,36 @@ def _bessel_k_block(nu: float, x: np.ndarray) -> np.ndarray:
         # beyond ymax the integrand is below e^-60 of its scale
         ymax = np.arccosh(np.maximum(2.0, (60.0 + 5.0 * nu) / x)) + 2.0
         if not np.all(np.isfinite(ymax)):
-            raise ValueError(f"bessel_k: x = {x[~np.isfinite(ymax)][0]} is too small")
+            raise ValueError(f"bessel_k: the order {nu} is too large")
         h = _STEPS[_STEP_EDGES.searchsorted(x, "right")]
-        # [0, a] is the flat zone and [a, a + m h] the explicit one, ends on the first grid
-        k = np.floor(np.arccosh(np.maximum(1.0, _FLAT / x)) / h)
-        a = k * h
-        m = (np.ceil(ymax / h) - k).astype(np.intp)
-        sinh_a = np.sinh(nu * a)
-        # levels 0-2 in one pass, as four rows per point: the end node a
+        m = np.ceil(ymax / h).astype(np.intp)  # nodes on (0, ymax] at the first step
+        # levels 0-2 in one pass, as four rows per point: the end node 0
         # (weight 1/2), the rest of level 0, the new odd nodes of levels 1 and 2
-        rows = [(a, h, np.ones_like(m)), (a + h, h, m), _odd_nodes(a, h, m, 1),
-                _odd_nodes(a, h, m, 2)]
+        rows = [(np.zeros_like(h), h, np.ones_like(m)), (h, h, m), _odd_nodes(h, m, 1),
+                _odd_nodes(h, m, 2)]
         sums = _node_sums(nu, np.concatenate([x] * 4), *(np.concatenate(r) for r in zip(*rows)))
         sums = sums.reshape(4, -1)
         sums[0] *= 0.5
         tot = np.cumsum(sums, axis=0)[1:]  # node sums of levels 0, 1 and 2
-        hl = h * _FIRST_STEPS
-        t = hl * tot + _flat_sum(nu, a, sinh_a, hl)
+        t = h * _FIRST_STEPS * tot
         close = np.abs(t[1:] - t[:-1]) <= BESSEL_RTOL * np.abs(t[1:])
         s = np.where(close[0], t[1], t[2])
         live = np.flatnonzero(~(close.any(axis=0) | np.isinf(t[2])))
-        x, h, a, m, sinh_a, prev, tot = (
-            v[live] for v in (x, h, a, m, sinh_a, t[2], tot[2]))
+        x, h, m, prev, tot = (v[live] for v in (x, h, m, t[2], tot[2]))
         for level in range(3, 12):
             if live.size == 0:
                 break
-            tot = tot + _node_sums(nu, x, *_odd_nodes(a, h, m, level))
-            hl = h * 0.5 ** level
-            cur = hl * tot + _flat_sum(nu, a, sinh_a, hl)
+            tot = tot + _node_sums(nu, x, *_odd_nodes(h, m, level))
+            cur = h * 0.5 ** level * tot
             s[live] = cur
             going = ~(np.abs(cur - prev) <= BESSEL_RTOL * np.abs(cur))
-            live, x, h, a, m, sinh_a, prev, tot = (
-                v[going] for v in (live, x, h, a, m, sinh_a, cur, tot))
+            live, x, h, m, prev, tot = (v[going] for v in (live, x, h, m, cur, tot))
     return s
 
 
-def _odd_nodes(a, h, m, level):
-    """(y0, dy, n) of the nodes a level adds on [a, a + m h]: a + (2i + 1) h / 2^level."""
-    return a + h * 0.5 ** level, h * 0.5 ** (level - 1), m << (level - 1)
+def _odd_nodes(h, m, level):
+    """(y0, dy, n) of the nodes a level adds on [0, m h]: (2i + 1) h / 2^level."""
+    return h * 0.5 ** level, h * 0.5 ** (level - 1), m << (level - 1)
 
 
 def _node_sums(nu, x, y0, dy, n):
@@ -251,13 +344,6 @@ def _node_sums(nu, x, y0, dy, n):
     y -= xc  # log cosh(nu y) - x cosh y
     np.exp(y, out=y)
     return np.bincount(row, y, minlength=n.size)
-
-
-def _flat_sum(nu, a, sinh_a, h):
-    """Trapezoid sum at step h of cosh(nu y) over [0, a], in closed form."""
-    if nu < 1e-150:  # cosh(nu y) rounds to 1.0
-        return a
-    return sinh_a * (0.5 * h / np.tanh(0.5 * nu * h))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ class TestReports:
         theta = 0.7 * math.pi / 0.8
         assert abs(re - math.cos(theta)) < 1e-10
         assert abs(im - math.sin(theta)) < 1e-10
+
+    @pytest.mark.parametrize("alpha,t,code,status", [("0.3", "0.005", 0, "PASS"),
+                                                     ("0.3", "0.0001", 0, "PASS"),
+                                                     ("0.7", "0.005", 1, "FAIL"),
+                                                     ("0.7", "0.0001", 1, "FAIL")])
+    def test_pick_scan_small_t(self, capsys, alpha, t, code, status):
+        # the negative-axis scan no longer forms x = rho^(1/t), which overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, rep = run_cli(capsys, "pick-scan", "--alpha", alpha, "--t", t)
+        assert got == code
+        (verdict,) = rep["verdicts"]
+        assert verdict["status"] == status
+        (re, im), m_hat = verdict["witness"]
+        assert math.isfinite(re) and re < 0.0 and im == 0.0 and math.isfinite(m_hat)
 
     def test_critical_t_bracket(self, capsys):
         code, rep = run_cli(capsys, "critical-t", "--alpha", "0.5",

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,20 @@ class TestHcmProductRewrite:
     def test_rejects_bad_or_non_finite_input(self, u, w):
         with pytest.raises(ValueError, match="finite u > 0 and w >= 2"):
             hcm_product_rewrite(FamilyParams(0.2, 0.5), u, w)
+
+    def test_overflowing_terms_give_zero_not_nan(self):
+        # s = u^t = 1e200: s^4 and c s^3 w_t overflow to inf - inf for c < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hcm_product_rewrite(FamilyParams(0.7, 2.0), 1e100, 3.0) == 0.0
+            u = np.array([[0.5], [math.sqrt(2e77)], [1e100]])
+            got = hcm_product_rewrite(FamilyParams(0.7, 2.0), u, np.array([2.0, 3.0]))
+        assert np.all(np.isfinite(got))
+        first = hcm_product_rewrite(FamilyParams(0.7, 2.0), u[:1], np.array([2.0, 3.0]))
+        assert np.array_equal(got[:1], first)
+        # f(uv) f(u/v) ~ s^-4 = (2e77)^-4, a subnormal: D(s) = s^4 D(1/s) keeps it
+        assert got[1] == pytest.approx(2e77 ** -2 * 2e77 ** -2, rel=1e-6)
+        assert np.all(got[2] == 0.0)
 
     def test_alpha_half_reduction(self):
         # c = 2 cos(pi/2) = 0 kills the cross term

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import kstest, ks_2samp
 
@@ -277,3 +280,126 @@ class TestKsMachinery:
         assert ks_threshold(10_000, 0.05) == pytest.approx(0.0136)
         assert ks_threshold(10_000, 0.01) == pytest.approx(0.0163)
         assert ks_threshold(100, 0.01, m=100) == pytest.approx(1.63 * math.sqrt(0.02))
+
+
+def ks_two_sample_searchsorted(a, b):
+    """The pooled-grid searchsorted formula: the reference for the one-merge statistic."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / len(a)
+    fb = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+# few distinct values, so runs of ties span both samples; signed zeros and infinities too
+_SAMPLE = st.lists(st.integers(-3, 3).map(float) | st.sampled_from([-0.0, math.inf, -math.inf])
+                   | st.floats(allow_nan=False), min_size=1, max_size=40)
+
+
+class TestKsTwoSampleMerge:
+    """The one-merge statistic is the searchsorted formula's float, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SAMPLE, _SAMPLE)
+    def test_equals_searchsorted_formula(self, a, b):
+        assert ks_statistic_two_sample(np.array(a), np.array(b)) == \
+            ks_two_sample_searchsorted(a, b)
+
+    @pytest.mark.parametrize("a,b", [([1.0], [1.0]), ([1.0], [2.0]), ([2.0], [1.0, 2.0, 3.0]),
+                                     ([0.0, 0.0, 1.0], [0.0]), ([-1.0, 5.0], [5.0, 5.0, -1.0])])
+    def test_single_points_and_ties(self, a, b):
+        assert ks_statistic_two_sample(a, b) == ks_two_sample_searchsorted(a, b)
+
+    def test_large_continuous_samples_and_inputs_untouched(self):
+        rng = np.random.default_rng(40)
+        a, b = rng.standard_normal(100_000), rng.standard_normal(70_001) + 0.01
+        a0, b0 = a.copy(), b.copy()
+        assert ks_statistic_two_sample(a, b) == ks_two_sample_searchsorted(a, b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+    def test_peak_memory(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.random(100_000), rng.random(100_000)
+        tracemalloc.start()
+        try:
+            ks_statistic_two_sample(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20  # the searchsorted formula peaked at 9.2 MB
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+class TestPinnedSamples:
+    """Exact samples and statistics at fixed seeds: what a SampleSet's (seed,
+    generator_id, n) regenerates.  A rewrite of the samplers or verifiers must
+    keep every bit of these."""
+
+    @pytest.mark.parametrize("alpha,seed,digest,first,last", [
+        (0.3, 7, "1b17a9fd304ee405", 0.05484774465934581, 0.21619987742969854),
+        (0.5, 8, "f0478355a7cf9c4b", 32.97892760108774, 46.66914592615755),
+        (0.8, 9, "316d5ceff9c8f025", 0.6261703936351899, 0.6069378542629079),
+    ])
+    def test_positive_stable(self, alpha, seed, digest, first, last):
+        v = sample_positive_stable(alpha, 5000, seed).values
+        assert (v[0], v[-1], _digest(v)) == (first, last, digest)
+
+    @pytest.mark.parametrize("alpha,seed,digest,first,last", [
+        (0.35, 10, "53d5fc9fe6e91d20", 4.254192334052782, 2.958692420075747),
+        (0.7, 11, "378d9bd495ceec56", 13.67368063217354, 0.6636076940519496),
+    ])
+    def test_T_alpha(self, alpha, seed, digest, first, last):
+        v = sample_T_alpha(alpha, 5000, seed).values
+        assert (v[0], v[-1], _digest(v)) == (first, last, digest)
+
+    @pytest.mark.parametrize("n_gamma,stat", [(2, 0.007900000000000018),
+                                              (3, 0.009050000000000002),
+                                              (4, 0.006700000000000039)])
+    def test_zinv_statistic(self, n_gamma, stat):
+        assert verify_factorization_zinv(n_gamma, 20_000, seed=31).statistic == stat
+
+    def test_half_stable_statistic(self):
+        assert verify_half_stable_gamma_identity(20_000, seed=32).statistic == 0.007550000000000001
+
+    @pytest.mark.parametrize("alpha,stat", [(0.3, 0.004667042641279262),
+                                            (0.75, 0.00450927198113843)])
+    def test_T_density_statistic(self, alpha, stat):
+        assert verify_T_density(alpha, 20_000, seed=33).statistic == stat
+
+    def test_sqrt_gamma_statistic(self):
+        # the CDF table rests on bessel_k, which may move in the last digits
+        stat = verify_sqrt_gamma_product_density(1.0, 1.0, 20_000, seed=34).statistic
+        assert stat == pytest.approx(0.00672297085333684, rel=1e-12)
+
+    def test_stable_laplace_witness(self):
+        v = verify_stable_laplace(0.4, sample_n=20_000, seed=35)
+        assert v.witness == (1.0, 2.1170558452619077)
+
+
+class TestVerifierMemory:
+    """The verifiers work in place: each peaks below what the out-of-place
+    products and reciprocals took (10.7 MB for the two-sample checks, 4.6 MB
+    for T density, 6.3 MB for the sqrt-gamma check at n = 1e5)."""
+
+    CHECKS = {
+        "zinv3": (lambda: verify_factorization_zinv(3, 100_000, 5), 7.5),
+        "half_stable": (lambda: verify_half_stable_gamma_identity(100_000, 5), 7.5),
+        "T_density": (lambda: verify_T_density(0.4, 100_000, 5), 4.7),
+        "sqrt_gamma": (lambda: verify_sqrt_gamma_product_density(1.0, 1.0, 100_000, 5), 5.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_peak(self, name):
+        check, limit_mb = self.CHECKS[name]
+        check()  # first-call costs stay outside the trace
+        tracemalloc.start()
+        try:
+            check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 2 ** 20

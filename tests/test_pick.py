@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,41 @@ class TestGgcPickScan:
         assert v.passed
         _, m_hat = v.witness
         assert -1e-6 <= m_hat < 1e-2
+
+    @pytest.mark.parametrize("alpha,t", [(0.6, 0.3), (0.3, 0.65), (0.5, 0.4), (0.9, 0.05),
+                                         (0.45, 0.5), (0.0, 0.9), (0.2, 0.02)])
+    def test_cut_closed_form_matches_h_just_above_the_cut(self, alpha, t):
+        # the fallback's closed form against h at arg z = pi - 1e-8
+        p = FamilyParams(alpha, t)
+        rho = np.geomspace(1e-2, 1e2, 41)
+        near = h_value(rho ** (1.0 / t) * np.exp(1j * (math.pi - 1e-8)), p)
+        got = hcmlab.pick._h_cut(rho, p)
+        assert np.all(np.abs(got - near) <= 1e-6 * np.maximum(1.0, np.abs(near)))
+
+    @pytest.mark.parametrize("alpha,t", [(0.3, 0.012), (0.3, 0.005), (0.3, 1e-4), (0.5, 0.005),
+                                         (0.5, 1e-4), (0.7, 0.012), (0.7, 0.005), (0.7, 1e-4),
+                                         (0.51, 1e-3)])
+    def test_small_t_has_a_finite_witness(self, alpha, t):
+        # x = rho^(1/t) overflows below t ~ 0.013; the sign is still decided on
+        # rho in [1e-4, 1e4], where h < 0 below the bracket's small root for
+        # alpha > 1/2 (0.33 at alpha = 0.7), and only the witness is clamped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ggc_pick_scan(FamilyParams(alpha, t))
+        (re, im), m_hat = v.witness
+        assert math.isfinite(re) and math.isfinite(im) and math.isfinite(m_hat)
+        assert v.status == ("FAIL" if alpha > 0.5 else "PASS")
+
+    def test_negative_axis_form_keeps_its_grid(self, monkeypatch):
+        # alpha + eps < 1/2 still scans h_negative_axis on rho in [1e-4, 1e4]
+        seen = []
+        original = hcmlab.pick.h_negative_axis
+        monkeypatch.setattr(hcmlab.pick, "h_negative_axis",
+                            lambda rho, p: seen.append(rho) or original(rho, p))
+        monkeypatch.setattr(hcmlab.pick, "_h_cut", None)
+        assert ggc_pick_scan(P_FIG2).passed
+        (rho,) = seen
+        assert np.array_equal(rho, np.geomspace(1e-4, 1e4, 400))
 
     def test_ggc_implies_cm(self):
         p = FamilyParams.from_eps(0.25, 0.1)

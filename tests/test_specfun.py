@@ -161,8 +161,8 @@ class TestBesselKArray:
 
 
 class TestBesselKBoundedWork:
-    """The flat zone in closed form, odd nodes only after the first level, and a
-    first step per point: the work per point is bounded, the values are not moved."""
+    """Odd nodes only after the first level and a first step per point, and no
+    trapezoid at all below x = 2: the work per point is bounded."""
 
     @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 0.5, 0.99, -0.99, 2.5])
     def test_tiny_x_against_mpmath(self, nu):
@@ -217,10 +217,10 @@ class TestBesselKBoundedWork:
             got = bessel_k(2.5, np.array([1e-200, 1.0, 1e-300]))
         assert got[0] == got[2] == math.inf
         assert got[1] == bessel_k(2.5, 1.0) and math.isfinite(got[1])
-        # an overflowed point ends after the first pass (four rows), with no further level
+        # an overflowing tiny x is a series point: it makes no trapezoid pass
         passes.clear()
         bessel_k(2.5, np.full(4, 1e-200))
-        assert [n.size for n in passes] == [16]
+        assert passes == []
 
     def test_coarse_first_step_takes_the_later_levels(self, monkeypatch):
         # from h = 4 every point needs further single levels, which stop at
@@ -231,6 +231,96 @@ class TestBesselKBoundedWork:
         got = bessel_k(1.0 / 3.0, x)
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
         assert np.array_equal(got, [bessel_k(1.0 / 3.0, v) for v in x])
+
+class TestBesselKSeries:
+    """Below x = 2, Temme's series: K_mu and K_mu+1 from a fixed number of terms,
+    then upward recurrence; no trapezoid pass."""
+
+    NUS = (0.0, 1e-4, 2e-3, 0.01, 0.03, 1.0 / 6.0, 1.0 / 3.0, 0.49999, 0.5, 0.50001,
+           0.9, 1.5, 2.5)
+    XS = np.concatenate([np.geomspace(1e-300, 1.9, 61), np.linspace(1.0, 1.99, 12),
+                         [1.999, 1.9999999, 2.0 - 1e-12, np.nextafter(2.0, 0.0)]])
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_against_mpmath(self, nu, passes):
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_k(nu, self.XS)
+        assert passes == []
+        with mpmath.workdps(30):
+            ref = [mpmath.besselk(nu, mpmath.mpf(x)) for x in self.XS]
+        checked = 0
+        for x, g, r in zip(self.XS, got, ref):
+            if r >= np.finfo(float).max:
+                assert g == math.inf, (nu, x)
+            elif r >= np.finfo(float).tiny:
+                assert abs(g - float(r)) <= 1e-13 * float(r), (nu, x, g, r)
+                checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("nu", [1.0 / 3.0, 0.49999, -0.49999, 0.7, 0.9])
+    def test_tiny_x_keeps_the_power_to_an_ulp(self, nu):
+        # (x/2)^-mu is one pow call and sinh(sigma) comes from it at |sigma| >= 1;
+        # exp(mu log(2/x)) would carry the log's error times |mu log(2/x)| ~ 345
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.geomspace(1e-300, 1e-100, 9)
+        got = bessel_k(nu, xs)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselk(nu, mpmath.mpf(x))) for x in xs])
+        assert np.all(np.abs(got - ref) <= 2e-14 * ref), np.max(np.abs(got / ref - 1.0))
+
+    @pytest.mark.parametrize("nu", NUS + (-0.3, 5.0))
+    def test_agrees_across_two(self, nu):
+        below, above = np.nextafter(2.0, 0.0), 2.0
+        lo, hi = bessel_k(nu, np.array([below, above]))
+        # K_nu is smooth: one ulp of x moves it by ~|K'/K| 4e-16 <= 2e-15 here
+        assert abs(lo - hi) <= 3e-14 * hi
+
+    def test_gammas_keep_their_digits_near_zero_order(self):
+        # Gamma_1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / 2 mu cancels as mu -> 0;
+        # the series form keeps it to an ulp or so
+        mpmath = pytest.importorskip("mpmath")
+        for mu in (1e-12, 1e-6, 1e-3, 0.01, 0.2, -0.37, 0.4999):
+            _, _, _, g1, g2, rgp, rgm, _ = hcmlab.specfun._temme_coefficients(mu)
+            with mpmath.workdps(40):
+                m = mpmath.mpf(mu)
+                ref1 = (mpmath.rgamma(1 - m) - mpmath.rgamma(1 + m)) / (2 * m)
+                ref2 = (mpmath.rgamma(1 - m) + mpmath.rgamma(1 + m)) / 2
+            assert abs(g1 - float(ref1)) <= 4e-16 * abs(float(ref1)), mu
+            assert abs(g2 - float(ref2)) <= 4e-16 * float(ref2), mu
+            assert rgp == pytest.approx(float(mpmath.rgamma(1 + m)), rel=1e-15)
+            assert rgm == pytest.approx(float(mpmath.rgamma(1 - m)), rel=1e-15)
+
+    def test_huge_order_overflows_fast(self):
+        # K grows with the order, so the recurrence stops once every point is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(bessel_k(1e12, np.array([1e-3, 1.0, 1.99])) == math.inf)
+
+    def test_coefficients_only_for_x_below_two(self, monkeypatch):
+        built = []
+        original = hcmlab.specfun._temme_coefficients
+        monkeypatch.setattr(hcmlab.specfun, "_temme_coefficients",
+                            lambda nu: built.append(nu) or original(nu))
+        bessel_k(0.3, np.array([2.0, 5.0, 40.0]))
+        assert built == []
+        bessel_k(0.3, np.array([1.0, 5.0] * BESSEL_BLOCK))
+        assert built == [0.3]
+
+    def test_subnormal_x_is_refused(self):
+        with pytest.raises(ValueError, match="subnormal"):
+            bessel_k(0.3, np.array([1.0, 5e-309]))
+        assert math.isfinite(bessel_k(0.0, 2.3e-308))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        seen = []
+        original = hcmlab.specfun._node_sums
+        monkeypatch.setattr(hcmlab.specfun, "_node_sums",
+                            lambda *args: seen.append(args[-1]) or original(*args))
+        return seen
+
 
 class TestPAlpha:
     def test_root(self):

@@ -1,4 +1,4 @@
-"""Start-up guard: scipy never loads.
+"""Start-up guard: scipy never loads, and no package module imports scipy or mpmath.
 
 ``import hcmlab``, every subcommand and the scalar-quadrature paths (the
 forward transform, the density normalizations and the sign-change lemma)
@@ -111,6 +111,7 @@ def test_scalar_quadrature_paths_leave_scipy_unloaded():
 
 
 def test_no_package_module_imports_scipy():
+    """Nor mpmath: the runtime is numpy-only, and mpmath is the tests' oracle."""
     offenders = []
     for path in sorted((SRC / "hcmlab").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -120,5 +121,6 @@ def test_no_package_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+            offenders += [f"{path.name}:{node.lineno}" for n in names
+                          if n.split(".")[0] in ("scipy", "mpmath")]
     assert not offenders
