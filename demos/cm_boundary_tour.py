@@ -12,7 +12,7 @@ import numpy as np
 
 from hcmlab import (FamilyParams, branch_cut_invert, bromwich_invert,
                     closed_form_inverse_t1, cm_check_by_inversion)
-from hcmlab.monotone import ScanGrid
+from hcmlab.monotone import DEFAULT_LAMBDA_GRID
 
 print("== 1. the elementary case t = 1 ==")
 alpha = 0.3
@@ -36,7 +36,7 @@ for lam in np.geomspace(0.1, 10.0, 5):
 print()
 
 print("== 3. verdicts along a vertical line alpha = 0.4 ==")
-grid = ScanGrid(0.05, 50.0, 40)
+grid = DEFAULT_LAMBDA_GRID  # 40 geometric points on [0.05, 50]
 for t in (0.3, 0.5, 0.6, 0.65, 0.7, 0.8, 1.0):
     v = cm_check_by_inversion(FamilyParams(0.4, t), grid)
     lam, g = v.witness

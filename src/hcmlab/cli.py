@@ -19,8 +19,8 @@ import numpy as np
 
 from . import montecarlo as mc
 from .laplace import invert_grid
-from .monotone import (FAIL, INCONCLUSIVE, PASS, InconclusiveError, ScanGrid, Verdict,
-                       cm_check_by_differences, cm_check_by_inversion,
+from .monotone import (DEFAULT_LAMBDA_GRID, FAIL, INCONCLUSIVE, PASS, InconclusiveError,
+                       ScanGrid, Verdict, cm_check_by_differences, cm_check_by_inversion,
                        estimate_critical_t, hcm_check_family)
 from .pick import HalfPlaneScan, figure2_data, ggc_pick_scan, write_figure2_csv
 from .specfun import FamilyParams, f_family
@@ -107,7 +107,8 @@ def _family(args) -> FamilyParams:
     return FamilyParams(args.alpha, t)
 
 
-_CM_GRID = {"lambda_min": 0.05, "lambda_max": 50.0, "n": 40}  # cm-check's lambda grid
+_CM_GRID = {"lambda_min": DEFAULT_LAMBDA_GRID.lo, "lambda_max": DEFAULT_LAMBDA_GRID.hi,
+            "n": DEFAULT_LAMBDA_GRID.n}  # the lambda grid of cm-check and critical-t
 
 
 def build_parser() -> _Parser:
@@ -155,9 +156,10 @@ def build_parser() -> _Parser:
     q = sub.add_parser("critical-t", help="bisection bracket for the critical CM index", **fmt)
     q.add_argument("--alpha", type=float, required=True, help="family index in (0, 1/2]")
     q.add_argument("--bisect-tol", type=float, default=0.01, help="final bracket width")
-    q.add_argument("--lambda-min", type=float, default=0.05, help="predicate grid start")
-    q.add_argument("--lambda-max", type=float, default=50.0, help="predicate grid end")
-    q.add_argument("--n", type=int, default=40, help="predicate grid size")
+    q.add_argument("--lambda-min", type=float, help="predicate grid start")
+    q.add_argument("--lambda-max", type=float, help="predicate grid end")
+    q.add_argument("--n", type=int, help="predicate grid size")
+    q.set_defaults(**_CM_GRID)
 
     q = sub.add_parser("mc-verify", help="Monte Carlo / quadrature identity checks", **fmt)
     q.add_argument("--check", required=True,

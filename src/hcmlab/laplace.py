@@ -215,8 +215,9 @@ def _require_cut_regime(p: FamilyParams):
 
 
 def branch_cut_kernel(x, p: FamilyParams):
-    """Im[1 / P(x^t e^{i t pi})] for x > 0, the cut-side boundary kernel."""
-    _require_cut_regime(p)
+    """Im[1 / P(x^t e^{i t pi})] = Im f(-x + i0) for x > 0, the cut-side boundary kernel."""
+    if not p.t <= 1.0 - p.alpha:  # at t = 1 - alpha, x = 1 is a pole
+        raise ValueError(f"the cut kernel requires t <= 1 - alpha, got t={p.t}, alpha={p.alpha}")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("branch_cut_kernel requires x > 0")
@@ -279,15 +280,17 @@ def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams,
     of g (and err), a scalar gives floats.  The whole grid is one
     ``gauss_kronrod_panels`` call in u = log x over [log 1e-16,
     log max(60/lam, 10)], one group per lam.  lam = 0 is the total kernel
-    integral: its head runs in the same call, cut at the
-    ``kernel_total_integral`` cutoff, plus that function's series tail (and
-    so needs t > 1/2).
+    integral (and so needs t > 1/2): its head runs in the same call, up to
+    max(20, 2 x0), and the algebraic tail beyond is summed exactly from the
+    expansion 1/P(zeta) = sum_n U_n(-cos pi a) zeta^{-n-2} in Chebyshev
+    polynomials of the second kind, term-integrated from that cutoff.
 
     Raises ValueError unless t < 1 - alpha and every lam is finite and
     >= 0, ConvergenceError if 60/lam overflows (lam below about 3e-307) or
     the panel rule exhausts its bisection budget at some lam.  With
     ``return_err`` returns (g, err), err being the panel rule's estimate
-    plus the 1e-16 bound on the dropped (0, 1e-16), scaled by 1/pi.
+    plus the 1e-16 bound on the dropped (0, 1e-16) (and at lam = 0 the
+    series envelope at truncation), scaled by 1/pi.
     """
     _require_cut_regime(p)
     lams = np.asarray(lam, dtype=float)
@@ -312,17 +315,13 @@ def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams,
     g, err = -val / math.pi, err / math.pi
     if scalar:
         g, err = float(g[0]), float(err[0])
-    if return_err:
-        return g, err
-    return g
+    return (g, err) if return_err else g
 
 
-def _total_cutoff(p: FamilyParams, head_upper: float | None = None) -> float:
+def _total_cutoff(p: FamilyParams) -> float:
     """Where the total kernel integral hands its head over to the series tail."""
     if p.t <= 0.5:
         raise ValueError("total kernel integral diverges for t <= 1/2")
-    if head_upper is not None:
-        return head_upper
     return max(20.0, 2.0 * (kernel_sign_change(p) or 1.0))
 
 
@@ -348,24 +347,12 @@ def _series_tail(p: FamilyParams, upper: float):
 
 
 def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
-                          head_upper: float | None = None, return_err: bool = False):
-    """int_0^inf kernel(x) dx, which the contour argument forces to be 0.
+                          return_err: bool = False):
+    """int_0^inf kernel(x) dx = -pi branch_cut_invert(0), forced to be 0 by the contour argument.
 
-    Integrable only when t > 1/2 (the tail decays like x^{-2t}).  The
-    head up to ``head_upper`` (default max(20, 2 x0)) is the lam = 0 case
-    of the branch-cut panel rule; the algebraic tail is summed exactly
-    from the expansion 1/P(zeta) = sum_n U_n(-cos pi a) zeta^{-n-2} in
-    Chebyshev polynomials of the second kind, term-integrated from the
-    cutoff.  With ``return_err`` returns (value, err): the head's estimate
-    plus the series envelope at truncation.
-    """
-    _require_cut_regime(p)
-    upper = _total_cutoff(p, head_upper)
-    head, head_err = _cut_integrals(p, np.zeros(1), np.array([math.log(upper)]), spec)
-    tail, envelope = _series_tail(p, upper)
-    if return_err:
-        return float(head[0]) + tail, float(head_err[0]) + envelope
-    return float(head[0]) + tail
+    Needs t > 1/2 (the tail decays like x^{-2t}); ``return_err`` adds pi times that call's err."""
+    g, err = branch_cut_invert(0.0, p, spec, return_err=True)
+    return (-math.pi * g, math.pi * err) if return_err else -math.pi * g
 
 
 def closed_form_inverse_t1(lam: float, alpha: float) -> float:

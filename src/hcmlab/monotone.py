@@ -34,6 +34,7 @@ from .laplace import bromwich_invert
 __all__ = [
     "Verdict",
     "ScanGrid",
+    "DEFAULT_LAMBDA_GRID",
     "SignChangeError",
     "InconclusiveError",
     "cm_check_by_inversion",
@@ -112,6 +113,8 @@ class ScanGrid:
         return np.linspace(self.lo, self.hi, self.n)
 
 
+DEFAULT_LAMBDA_GRID = ScanGrid(0.05, 50.0, 40)  # the CM predicate's lambda grid
+
 # --------------------------------------------------------------------------
 # CM via numerical inversion
 # --------------------------------------------------------------------------
@@ -127,8 +130,7 @@ def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
     Anything else (at large lambda the e^{lam c} factor can leave no
     digits) and inversion trouble map to INCONCLUSIVE.
     """
-    if lambda_grid is None:
-        lambda_grid = ScanGrid(0.05, 50.0, 40)
+    lambda_grid = lambda_grid or DEFAULT_LAMBDA_GRID
     lams = lambda_grid.points()
     try:
         gs, errs = bromwich_invert(p, lams, spec=spec, return_err=True)
@@ -414,8 +416,7 @@ def estimate_critical_t(alpha: float, bisect_tol: float = 0.01,
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
-    if lambda_grid is None:
-        lambda_grid = ScanGrid(0.05, 50.0, 40)
+    lambda_grid = lambda_grid or DEFAULT_LAMBDA_GRID
 
     def predicate(t: float) -> bool:
         grid = lambda_grid

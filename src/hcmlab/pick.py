@@ -9,8 +9,9 @@ the logarithmic derivative is explicit,
 
 h is harmonic, vanishes on (0, inf) and at infinity, so by the minimum
 principle everything hinges on the boundary values along the negative
-axis, where h has a closed form that is manifestly nonnegative while
-alpha + eps < 1/2.  The scan here evaluates h on horizontal lines plus
+axis, where h has a closed form with the sign of a quadratic in rho = |z|^t:
+nonnegative for every pole-free p with alpha <= 1/2, negative outside its
+roots when alpha > 1/2.  The scan here evaluates h on horizontal lines plus
 that negative-axis form and reports the scanned minimum.
 """
 
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import FamilyParams, f_family, pole_locations
-from .monotone import FAIL, INCONCLUSIVE, PASS, ScanGrid, Verdict
-
-_LOG_MAX = math.log(sys.float_info.max)  # exp of it is the largest float, to an ulp
+from .specfun import FamilyParams, pole_locations
+from .laplace import _LOG_X_MAX, branch_cut_kernel
+from .monotone import FAIL, PASS, ScanGrid, Verdict
 
 __all__ = [
     "HalfPlaneScan",
@@ -71,52 +71,28 @@ def h_value(z, p: FamilyParams):
 
 
 def h_negative_axis(rho, p: FamilyParams):
-    """Boundary value of h on the negative axis, parametrized by rho = |z|^t.
+    """h on the negative axis, from above, at x = rho^(1/t), for any pole-free p with t > 0.
 
-    Closed form A cos(pi a) sin(phi) [(rho - cos(phi)/cos(pi a))^2
-    + 1 - (cos(phi)/cos(pi a))^2] with phi = (alpha + eps) pi and A >= 0;
-    every factor is nonnegative while alpha + eps < 1/2, which is the
-    domain enforced here.
+    h(-x) = A sin(pi t) [cos(pi a) (rho^2 + 1) + 2 rho cos(pi t)] with A =
+    2t rho^(-(1-t)/t) / |d|^2 >= 0, d = P(rho e^(i pi t)), so h has the sign
+    of the bracket: >= 0 for every rho when alpha <= 1/2 (rho^2 + 1 >= 2 rho),
+    < 0 outside its two roots when alpha > 1/2.  |h| is taken in logs, where
+    rho^(-(1-t)/t) alone can overflow at small t, and clamped to the largest
+    float: the sign is always right and every value finite.  No x is formed.
     """
-    alpha, t = p.alpha, p.t
-    eps = p.eps
-    if not (0.0 < alpha < 0.5 and eps > 0.0):
-        raise ValueError("requires 0 < alpha < 1/2 and t < 1 - alpha")
-    if alpha + eps >= 0.5:
-        raise ValueError("closed-form sign analysis requires alpha + eps < 1/2")
+    t, c = p.t, p.cos_pi_alpha
+    if not 0.0 < t <= 1.0 - p.alpha:  # pole_locations(p) is empty iff t <= 1 - alpha
+        raise ValueError("requires 0 < t <= 1 - alpha (a pole-free continuation)")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("rho must be positive")
-    c = p.cos_pi_alpha
-    phi = (alpha + eps) * math.pi
-    amp = 2.0 * t * rho ** (-(alpha + eps) / t) / _cut_d2(rho, p)
-    r = math.cos(phi) / c
-    out = amp * c * math.sin(phi) * ((rho - r) ** 2 + 1.0 - r * r)
-    return float(out) if out.ndim == 0 else out
-
-
-def _cut_d2(rho, p: FamilyParams):
-    """|d|^2, d = rho^2 e^(2i pi t) + 2 cos(pi a) rho e^(i pi t) + 1: f = 1/d on the cut."""
-    t, c = p.t, p.cos_pi_alpha
     d = rho * rho * np.exp(2j * math.pi * t) + 2.0 * c * rho * np.exp(1j * math.pi * t) + 1.0
-    return np.abs(d) ** 2
-
-
-def _h_cut(rho: np.ndarray, p: FamilyParams) -> np.ndarray:
-    """h on the negative axis, from above, at x = rho^(1/t), for any pole-free p.
-
-    h(-x) = A sin(pi t) [cos(pi a) (rho^2 + 1) + 2 rho cos(pi t)] with
-    A = 2t rho^(-(1-t)/t) / |d|^2 >= 0, so h has the sign of the bracket.
-    |h| is taken in logs, where rho^(-(1-t)/t) alone can overflow at small t,
-    and clamped to the largest float: the sign is always right and every
-    value finite.  No division by cos(pi a), and no x.
-    """
-    t, c = p.t, p.cos_pi_alpha
     bracket = c * (rho * rho + 1.0) + 2.0 * rho * math.cos(math.pi * t)
-    with np.errstate(divide="ignore"):  # a zero bracket is h = 0
+    with np.errstate(divide="ignore", over="ignore"):  # zero bracket: h = 0; tiny t: clamped
         log_h = (math.log(2.0 * t) + math.log(math.sin(math.pi * t)) - (1.0 - t) / t * np.log(rho)
-                 - np.log(_cut_d2(rho, p)) + np.log(np.abs(bracket)))
-    return np.copysign(np.exp(np.minimum(log_h, _LOG_MAX)), bracket)
+                 - np.log(np.abs(d) ** 2) + np.log(np.abs(bracket)))
+    out = np.copysign(np.exp(np.minimum(log_h, _LOG_X_MAX)), bracket)
+    return float(out) if out.ndim == 0 else out
 
 
 def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
@@ -126,10 +102,13 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
     An immediate FAIL (with the principal pole, first in ``pole_locations``,
     as witness) is returned when the continuation has poles, i.e. when
     t > 1 - alpha.  Otherwise the verdict records the minimum of one h call
-    on all the lines and one closed form on the negative axis, over
-    rho = x^t in [1e-4, 1e4]; the true infimum is 0.  At small t, x and h
-    there leave the float range: the witness then clamps both to finite
-    floats, and keeps the sign of h.
+    on all the lines and one ``h_negative_axis`` call on the negative axis,
+    over rho = x^t in [1e-4, 1e4]; the true infimum is 0.  For alpha > 1/2
+    and t > 0 the cut's bracket is negative off [r, 1/r], which may contain
+    that grid, so rho = r/2 is scanned too (|h| there beats past 1/r, as
+    h(1/rho) = rho^(2/t + 2) h(rho)) and the verdict is FAIL by that sign.
+    At small t, x and h leave the float range: the witness then clamps both
+    to finite floats, and keeps the sign of h.
     """
     poles = pole_locations(p)
     if poles:
@@ -143,12 +122,14 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
     hs = h_value(re + 1j * levels[:, None], p)
     k, i = np.unravel_index(np.argmin(hs), hs.shape)  # C order: ties go to the first level
     m, marg = float(hs[k, i]), (float(re[i]), float(levels[k]))
+    c, negative_cut = p.cos_pi_alpha, p.cos_pi_alpha < 0.0 and p.t > 0.0
     if p.t > 0.0:  # at t = 0, f is constant and h vanishes on the cut too
         rho = np.geomspace(1e-4, 1e4, 400)
-        if p.alpha + p.eps < 0.5 and 0.0 < p.alpha < 0.5 and p.eps > 0.0:
-            hb = h_negative_axis(rho, p)
-        else:
-            hb = _h_cut(rho, p)
+        if negative_cut:  # pole-free, so t < 1/2: the bracket's roots are r <= 1 <= 1/r
+            ct = math.cos(math.pi * p.t)
+            r = -c / (ct + math.sqrt(max(ct * ct - c * c, 0.0)))
+            rho = np.append(rho, 0.5 * r)
+        hb = h_negative_axis(rho, p)
         i = int(np.argmin(hb))
         if hb[i] < m:
             m = float(hb[i])
@@ -156,12 +137,15 @@ def ggc_pick_scan(p: FamilyParams, scan: HalfPlaneScan = DEFAULT_SCAN,
                 x = rho[i] ** (1.0 / p.t)
             # x leaves the float range at small t: the witness clamps it
             marg = (-min(max(float(x), sys.float_info.min), sys.float_info.max), 0.0)
+    if negative_cut:
+        return Verdict(FAIL, tol, witness=(marg, m), detail=(
+            f"cos(pi alpha) < 0: h on the cut has the sign of cos(pi a) (rho^2 + 1) + 2 rho "
+            f"cos(pi t), negative off [r, 1/r], r = {r:.6g}; minimum {m:.3e} at z = {marg}"))
     if m >= -tol:
         return Verdict(PASS, tol, witness=(marg, m),
                        detail=f"scanned minimum m_hat = {m:.3e} >= -{tol:.1e} "
                               f"(analytic infimum: 0)")
-    return Verdict(FAIL, tol, witness=(marg, m),
-                   detail=f"h < -tol at z = {marg}")
+    return Verdict(FAIL, tol, witness=(marg, m), detail=f"h < -tol at z = {marg}")
 
 
 def figure2_data(p: FamilyParams, im_level: float, re_grid: ScanGrid) -> np.ndarray:
@@ -183,34 +167,28 @@ def write_figure2_csv(path, table: np.ndarray):
 
 
 def stieltjes_probe(alpha: float, x_grid: ScanGrid | None = None,
-                    eps_seq=(1e-2, 1e-3, 1e-4), tol: float = 1e-9) -> Verdict:
+                    tol: float = 1e-9) -> Verdict:
     """Probe whether f_alpha = f_{alpha,1-alpha} can be a Stieltjes transform.
 
-    The Stieltjes inversion density limit is -(1/pi) Im[f(-x + i eps)],
-    eps -> 0+.  FAIL means a stably negative region was found, i.e. f is
-    certified NOT Stieltjes (the expected outcome for alpha < 1/2); PASS
-    means no negativity at any probed eps, consistent with the Stieltjes
-    property (the alpha = 1/2 case, where f = 1/(1+x)).
+    The Stieltjes inversion density -(1/pi) Im f(-x + i0) is -(1/pi)
+    ``branch_cut_kernel``, with the sign of cos(pi a) (1 - x^t).  FAIL means
+    a negative value was found, i.e. f is certified NOT Stieltjes (the
+    expected outcome for alpha < 1/2); PASS means none on the grid,
+    consistent with the Stieltjes property (alpha = 1/2, where f = 1/(1+x)).
+    x = 1 is a pole (the point mass at alpha = 1/2): grid points where x^t
+    rounds to 1 are skipped.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
-    if x_grid is None:
-        x_grid = ScanGrid(1e-2, 1e2, 400)
+    x_grid = x_grid or ScanGrid(1e-2, 1e2, 400)
     p = FamilyParams(alpha, 1.0 - alpha)
     xs = x_grid.points()
-    minima = []
-    for eps in sorted(eps_seq, reverse=True):
-        vals = -np.imag(f_family(-xs + 1j * eps, p)) / math.pi
-        i = int(np.argmin(vals))
-        minima.append((float(eps), float(xs[i]), float(vals[i])))
-    negative = [m for m in minima if m[2] < -tol]
-    detail = "; ".join(f"eps={e:.0e}: min {v:.3e} at x={x:.4g}" for e, x, v in minima)
-    if len(negative) == len(minima):
-        e, x, v = minima[-1]
-        return Verdict(FAIL, tol, witness=(x, v),
-                       detail="density limit negative at every probed eps "
-                              f"(not a Stieltjes transform); {detail}")
-    if not negative:
-        return Verdict(PASS, tol, witness=(minima[-1][1], minima[-1][2]),
-                       detail=f"no negativity found, consistent with Stieltjes; {detail}")
-    return Verdict(INCONCLUSIVE, tol, detail=f"verdict unstable across eps; {detail}")
+    xs = xs[xs ** p.t != 1.0]
+    vals = -branch_cut_kernel(xs, p) / math.pi
+    i = int(np.argmin(vals))
+    x, v = float(xs[i]), float(vals[i])
+    if v < -tol:
+        return Verdict(FAIL, tol, witness=(x, v), detail=(
+            f"density -Im f(-x + i0)/pi = {v:.3e} < -{tol:.1e} at x = {x:.4g}; not Stieltjes"))
+    return Verdict(PASS, tol, witness=(x, v), detail=(
+        f"min density {v:.3e} at x = {x:.4g} on {x_grid}, consistent with Stieltjes"))

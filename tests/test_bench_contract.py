@@ -1,10 +1,11 @@
 """What the benchmark in perfbench/ reads of hcmlab, checked without running it.
 
 The benchmark wraps the functions named in ``perfbench/tracing.TARGETS`` by
-module and name, recomputes the default Bromwich abscissa, and reads the
-fields of ``KsReport`` and ``Verdict``.  A refactor that renames any of them
-breaks a benchmark run; these tests make it break the suite first.  Nothing
-under perfbench/ is changed.
+module and name, recomputes the default Bromwich abscissa, reads the fields
+of ``KsReport`` and ``Verdict``, and checks each task's answer against a
+pinned fact.  A refactor that renames any of them, or moves an answer the
+benchmark checks, breaks a benchmark run; these tests make it break the
+suite first.  Nothing under perfbench/ is changed.
 """
 
 import dataclasses
@@ -12,22 +13,24 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import hcmlab
 from hcmlab.montecarlo import KsReport
 from hcmlab.monotone import Verdict
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)  # standard library only at import
     return mod
 
 
 def test_every_traced_target_resolves():
-    targets = _tracing().TARGETS
+    targets = _load("tracing").TARGETS
     assert targets
     for module, name, _, _ in targets:
         assert callable(getattr(importlib.import_module(f"hcmlab.{module}"), name)), (module, name)
@@ -45,3 +48,18 @@ def test_ks_report_fields():
 def test_verdict_fields():
     v = Verdict("FAIL", 1e-9, witness=(1.0, -1.0), detail="d")
     assert (v.status, v.witness, v.passed, v.failed, v.detail) == ("FAIL", (1.0, -1.0), False, True, "d")
+
+
+@pytest.mark.parametrize("workload", ["kernel_checks", "cm_strip"])
+def test_first_rounds_pass_their_checks(workload):
+    # rounds 0 and 1 at seed 1, each task run and checked as a benchmark run does
+    workloads = _load("workloads")
+    for r in (0, 1):
+        for task in workloads.round_tasks(workload, 1, r):
+            result, error = None, None
+            try:
+                result = workloads.execute(hcmlab, task)
+            except Exception as exc:
+                error = f"raised {type(exc).__name__}: {exc}"
+            rec = workloads.check(hcmlab, task, result, error)
+            assert rec["ok"], rec

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hcmlab.montecarlo
-from hcmlab.cli import EX_USAGE, main
+from hcmlab.cli import EX_USAGE, build_parser, main
+from hcmlab.monotone import DEFAULT_LAMBDA_GRID
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +169,16 @@ class TestExitCodes:
             {"lambda_min": 0.05, "lambda_max": 50.0, "n": 20}
         assert "n=20" in rep["verdicts"][0]["detail"]
 
+    def test_lambda_grid_defaults_are_the_library_grid(self, capsys):
+        grid = DEFAULT_LAMBDA_GRID
+        args = build_parser().parse_args(["critical-t", "--alpha", "0.3"])
+        assert (args.lambda_min, args.lambda_max, args.n) == (grid.lo, grid.hi, grid.n)
+        for cmd in ("cm-check", "critical-t"):
+            assert main([cmd, "--help"]) == 0
+            out = " ".join(capsys.readouterr().out.split())
+            for v in (grid.lo, grid.hi, grid.n):
+                assert f"(default: {v}" in out
+
     def test_help_lists_flags_with_defaults(self, capsys):
         for cmd in ("cm-check", "hcm-check", "pick-scan", "critical-t", "mc-verify", "invert"):
             assert main([cmd, "--help"]) == 0
@@ -226,6 +237,13 @@ class TestReports:
         assert verdict["status"] == status
         (re, im), m_hat = verdict["witness"]
         assert math.isfinite(re) and re < 0.0 and im == 0.0 and math.isfinite(m_hat)
+
+    def test_pick_scan_near_half_fails(self, capsys):
+        # both roots of the cut's bracket lie off the rho grid; the scan samples below them
+        code, rep = run_cli(capsys, "pick-scan", "--alpha", "0.50002", "--t", "0.3")
+        assert code == 1
+        (verdict,) = rep["verdicts"]
+        assert verdict["status"] == "FAIL" and verdict["witness"][1] < 0.0
 
     def test_critical_t_bracket(self, capsys):
         code, rep = run_cli(capsys, "critical-t", "--alpha", "0.5",

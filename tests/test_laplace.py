@@ -285,6 +285,10 @@ class TestBranchCutKernel:
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             branch_cut_kernel(1.0, FamilyParams(0.3, 0.8))
+        # t = 1 - alpha is in the kernel's domain (x = 1 a pole), not in the inversion's
+        assert branch_cut_kernel(2.0, FamilyParams(0.3, 0.7)) > 0.0
+        with pytest.raises(ValueError):
+            branch_cut_invert(1.0, FamilyParams(0.3, 0.7))
 
 
 class TestBranchCutInvert:
@@ -385,6 +389,13 @@ class TestKernelTotalIntegral:
         with pytest.raises(ValueError):
             kernel_total_integral(FamilyParams(0.2, 0.45))
 
+    @pytest.mark.parametrize("alpha,t", [(0.2, 0.7), (0.45, 0.53), (0.0, 0.7), (0.3, 0.69)])
+    def test_is_the_lambda_zero_inversion(self, alpha, t):
+        p = FamilyParams(alpha, t)
+        g, err = branch_cut_invert(0.0, p, return_err=True)
+        assert kernel_total_integral(p) == -math.pi * g
+        assert kernel_total_integral(p, return_err=True) == (-math.pi * g, math.pi * err)
+
 
 class TestStressRegimes:
     def test_near_half_alpha_thin_margin(self):
@@ -400,10 +411,13 @@ class TestStressRegimes:
         p = FamilyParams(0.45, 0.53)
         assert abs(kernel_total_integral(p)) < 2e-5
 
-    def test_tail_handoff_independent_of_cutoff(self):
+    def test_tail_handoff_independent_of_cutoff(self, monkeypatch):
         # the analytic tail must splice seamlessly onto the quadrature head
         p = FamilyParams.from_eps(0.2, 0.1)
-        vals = [kernel_total_integral(p, head_upper=u) for u in (12.0, 20.0, 50.0)]
+        vals = []
+        for u in (12.0, 20.0, 50.0):
+            monkeypatch.setattr(hcmlab.laplace, "_total_cutoff", lambda p: u)
+            vals.append(kernel_total_integral(p))
         assert max(vals) - min(vals) < 1e-9
 
 

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hcmlab.pick
 from hcmlab.monotone import ScanGrid
 from hcmlab.pick import (HalfPlaneScan, figure2_data, ggc_pick_scan, h_negative_axis,
                          h_value, stieltjes_probe, write_figure2_csv)
-from hcmlab.monotone import cm_check_by_inversion
+from hcmlab.laplace import branch_cut_kernel
+from hcmlab.monotone import cm_check_by_inversion, hcm_check_family
 from hcmlab.specfun import FamilyParams, f_family, p_alpha
 
 P_FIG2 = FamilyParams.from_eps(0.2, 0.1)  # alpha = 1/5, eps = 1/10
@@ -74,9 +77,9 @@ class TestHNegativeAxis:
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            h_negative_axis(1.0, FamilyParams.from_eps(0.45, 0.1))  # alpha+eps > 1/2
+            h_negative_axis(1.0, FamilyParams(0.2, 0.9))  # eps < 0: poles
         with pytest.raises(ValueError):
-            h_negative_axis(1.0, FamilyParams(0.2, 0.9))  # eps < 0
+            h_negative_axis(1.0, FamilyParams(0.2, 0.0))  # t = 0: f is constant
 
     def test_boundary_limit_second_parameters(self):
         p = FamilyParams.from_eps(0.35, 0.08)
@@ -173,11 +176,11 @@ class TestGgcPickScan:
     @pytest.mark.parametrize("alpha,t", [(0.6, 0.3), (0.3, 0.65), (0.5, 0.4), (0.9, 0.05),
                                          (0.45, 0.5), (0.0, 0.9), (0.2, 0.02)])
     def test_cut_closed_form_matches_h_just_above_the_cut(self, alpha, t):
-        # the fallback's closed form against h at arg z = pi - 1e-8
+        # the closed form on the cut against h at arg z = pi - 1e-8
         p = FamilyParams(alpha, t)
         rho = np.geomspace(1e-2, 1e2, 41)
         near = h_value(rho ** (1.0 / t) * np.exp(1j * (math.pi - 1e-8)), p)
-        got = hcmlab.pick._h_cut(rho, p)
+        got = h_negative_axis(rho, p)
         assert np.all(np.abs(got - near) <= 1e-6 * np.maximum(1.0, np.abs(near)))
 
     @pytest.mark.parametrize("alpha,t", [(0.3, 0.012), (0.3, 0.005), (0.3, 1e-4), (0.5, 0.005),
@@ -200,10 +203,28 @@ class TestGgcPickScan:
         original = hcmlab.pick.h_negative_axis
         monkeypatch.setattr(hcmlab.pick, "h_negative_axis",
                             lambda rho, p: seen.append(rho) or original(rho, p))
-        monkeypatch.setattr(hcmlab.pick, "_h_cut", None)
         assert ggc_pick_scan(P_FIG2).passed
         (rho,) = seen
         assert np.array_equal(rho, np.geomspace(1e-4, 1e4, 400))
+
+    @pytest.mark.parametrize("alpha,t", [(0.50002, 0.3), (0.5000001, 0.45), (0.6, 0.4)])
+    def test_alpha_above_half_fails_by_the_cut_sign(self, alpha, t):
+        # at (0.50002, 0.3) both roots of the cut's bracket lie off rho in [1e-4, 1e4]
+        # (r = 5.3e-5), where the scan read PASS; rho = r/2 holds h ~ -7e5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ggc_pick_scan(FamilyParams(alpha, t))
+        (re, im), m = v.witness
+        assert v.failed and m < 0.0 and re < 0.0 and im == 0.0
+        assert "has the sign of cos(pi a) (rho^2 + 1) + 2 rho cos(pi t)" in v.detail
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1.0), st.floats(0.4999, 0.5001)), st.floats(0.0, 1.0))
+    def test_pick_status_is_hcm_status(self, alpha, frac):
+        # Bondesson: GGC iff the Laplace transform is HCM, so the two verdicts agree
+        p = FamilyParams(alpha, (1.0 - alpha) * frac)  # pole-free: t <= 1 - alpha
+        assume(1.0 + p.cos_pi_alpha > 0.0)  # else f = 1/0 at t = 0
+        assert ggc_pick_scan(p).status == hcm_check_family(p).status
 
     def test_ggc_implies_cm(self):
         p = FamilyParams.from_eps(0.25, 0.1)
@@ -234,6 +255,16 @@ class TestFigure2:
 
 
 class TestStieltjesProbe:
+    @pytest.mark.parametrize("alpha,status", [(0.2, "FAIL"), (0.3, "FAIL"), (0.45, "FAIL"),
+                                              (0.5, "PASS")])
+    def test_pole_on_the_cut_is_skipped(self, alpha, status):
+        # at t = 1 - alpha, x = 1 is a pole of f: that grid point never decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = stieltjes_probe(alpha, ScanGrid(0.5, 1.5, 3, "linear"))
+        assert v.status == status
+        assert v.witness[0] != 1.0 and math.isfinite(v.witness[1])
+
     def test_alpha_03_not_stieltjes(self):
         v = stieltjes_probe(0.3)
         assert v.failed
@@ -246,7 +277,17 @@ class TestStieltjesProbe:
         assert v.passed
 
     def test_eps_sequence_stability(self):
-        a = stieltjes_probe(0.3, eps_seq=(1e-2,))
-        b = stieltjes_probe(0.3, eps_seq=(1e-3,))
-        c = stieltjes_probe(0.3, eps_seq=(1e-4,))
-        assert a.status == b.status == c.status == "FAIL"
+        # oracle: -Im f(-x + i eps)/pi, eps -> 0+, tends to the density the probe
+        # reads: at its witness and on x away from the pole at x = 1
+        for alpha in (0.1, 0.3, 0.45, 0.5):
+            p = FamilyParams(alpha, 1.0 - alpha)
+            x_w, v_w = stieltjes_probe(alpha).witness
+            xs = np.concatenate([np.geomspace(1e-2, 0.5, 9), np.geomspace(2.0, 1e2, 9), [x_w]])
+            exact = -branch_cut_kernel(xs, p) / math.pi
+            assert exact[-1] == v_w
+            gaps = [np.abs(-np.imag(f_family(-xs + 1j * eps, p)) / math.pi - exact)
+                    for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert np.all(fine <= coarse + 1e-15)
+            assert np.all(gaps[-1] <= 1e-2 * gaps[0] + 1e-15)  # O(eps): 1000x smaller eps
+            assert np.all(gaps[-1] <= 1e-2 * np.maximum(1.0, np.abs(exact)))
