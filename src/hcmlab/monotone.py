@@ -120,8 +120,7 @@ DEFAULT_LAMBDA_GRID = ScanGrid(0.05, 50.0, 40)  # the CM predicate's lambda grid
 # --------------------------------------------------------------------------
 
 def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
-                          tol: float = 1e-8,
-                          spec: QuadratureSpec = DEFAULT_QUAD) -> Verdict:
+                          tol: float = 1e-8) -> Verdict:
     """CM test through Bernstein: g = L^{-1} f must be nonnegative.
 
     With thr = tol * max(1, ||g||_inf), PASS if g - err >= -thr on the
@@ -133,7 +132,7 @@ def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
     lambda_grid = lambda_grid or DEFAULT_LAMBDA_GRID
     lams = lambda_grid.points()
     try:
-        gs, errs = bromwich_invert(p, lams, spec=spec, return_err=True)
+        gs, errs = bromwich_invert(p, lams, return_err=True)
     except (ConvergenceError, ValueError) as exc:
         return Verdict(INCONCLUSIVE, tol, detail=f"inversion failed: {exc}")
     thr = tol * max(1.0, float(np.max(np.abs(gs))))
@@ -347,7 +346,8 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
        (17 + 675 real powers for the default table, no f call).
 
     Routes 1 and 2 are the analytic obstructions; they certify failures
-    the battery cannot see numerically.
+    the battery cannot see numerically.  At t = 0, f is the positive
+    constant 1/(2 + 2 cos(pi alpha)): an exact PASS, without the battery.
     """
     poles = pole_locations(p)
     if poles:
@@ -355,7 +355,10 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
         return Verdict(FAIL, tol, witness=((z.real, z.imag), 0.0),
                        detail=(f"analytic continuation has poles e^(+-i(1-alpha)pi/t) "
                                f"at {z:.12g}; an HCM function is pole-free off the cut"))
-    if p.cos_pi_alpha < 0.0 and p.t > 0.0:
+    if p.t == 0.0:
+        return Verdict(PASS, tol, detail=(f"t = 0: f is the constant 1/(2 + 2 cos(pi alpha)) = "
+                                          f"{0.5 / (1.0 + p.cos_pi_alpha):.6g} > 0, which is HCM"))
+    if p.cos_pi_alpha < 0.0:
         y, rise = -p.cos_pi_alpha, 1.0 / math.tan(math.pi * p.alpha) ** 2
         return Verdict(FAIL, tol, witness=(y, rise), detail=(
             f"f increasing from f(0+) = 1: f - 1 = cot^2(pi alpha) = {rise:.6e} at "
@@ -402,13 +405,11 @@ def _product_denominator(s, w_t, c):
 # --------------------------------------------------------------------------
 
 def estimate_critical_t(alpha: float, bisect_tol: float = 0.01,
-                        lambda_grid: ScanGrid | None = None, tol: float = 1e-9,
-                        spec: QuadratureSpec = DEFAULT_QUAD,
-                        on_probe=None):
+                        lambda_grid: ScanGrid | None = None, on_probe=None):
     """Bisection bracket [t_lo, t_hi] for the critical CM index on [1-alpha, 1].
 
-    The predicate is ``cm_check_by_inversion``; t_lo always carries a PASS
-    and t_hi a FAIL.  Ambiguous verdicts (minimum within a factor 4 of the
+    The predicate is ``cm_check_by_inversion`` at tol 1e-9; t_lo always
+    carries a PASS and t_hi a FAIL.  Ambiguous verdicts (minimum within a factor 4 of the
     threshold) are retried on a 4x refined grid and resolved toward FAIL.
     The search is deterministic, so halving bisect_tol reproduces the same
     leading probes and yields a nested bracket.  The bracket is numerical
@@ -416,13 +417,13 @@ def estimate_critical_t(alpha: float, bisect_tol: float = 0.01,
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
-    lambda_grid = lambda_grid or DEFAULT_LAMBDA_GRID
+    lambda_grid, tol = lambda_grid or DEFAULT_LAMBDA_GRID, 1e-9
 
     def predicate(t: float) -> bool:
         grid = lambda_grid
         verdict = None
         for attempt in range(2):
-            verdict = cm_check_by_inversion(FamilyParams(alpha, t), grid, tol, spec)
+            verdict = cm_check_by_inversion(FamilyParams(alpha, t), grid, tol)
             if verdict.status == INCONCLUSIVE:
                 raise InconclusiveError(f"CM predicate inconclusive at t = {t}: {verdict.detail}")
             # a PASS whose scanned minimum sits within 4x of the threshold is

@@ -166,8 +166,7 @@ def write_figure2_csv(path, table: np.ndarray):
     return path
 
 
-def stieltjes_probe(alpha: float, x_grid: ScanGrid | None = None,
-                    tol: float = 1e-9) -> Verdict:
+def stieltjes_probe(alpha: float, x_grid: ScanGrid | None = None) -> Verdict:
     """Probe whether f_alpha = f_{alpha,1-alpha} can be a Stieltjes transform.
 
     The Stieltjes inversion density -(1/pi) Im f(-x + i0) is -(1/pi)
@@ -180,7 +179,7 @@ def stieltjes_probe(alpha: float, x_grid: ScanGrid | None = None,
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
-    x_grid = x_grid or ScanGrid(1e-2, 1e2, 400)
+    x_grid, tol = x_grid or ScanGrid(1e-2, 1e2, 400), 1e-9
     p = FamilyParams(alpha, 1.0 - alpha)
     xs = x_grid.points()
     xs = xs[xs ** p.t != 1.0]

@@ -50,6 +50,8 @@ class FamilyParams:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.t >= 0.0:
             raise ValueError(f"t must be >= 0, got {self.t}")
+        if self.t == 0.0 and 1.0 + math.cos(math.pi * self.alpha) == 0.0:
+            raise ValueError(f"at t = 0, f = 1/(2 + 2 cos(pi alpha)) is 1/0 for alpha = {self.alpha}")
 
     @property
     def eps(self) -> float:
@@ -121,27 +123,23 @@ def log_gamma(z) -> complex:
 # --------------------------------------------------------------------------
 # Modified Bessel function of the second kind.  Below x = 2, Temme's series
 # (N. M. Temme, J. Comput. Phys. 19, 324-337, 1975) for K_mu and K_mu+1,
-# |mu| <= 1/2, then upward recurrence in the order; from x = 2, the
-# trapezoidal rule on the integral representation
-#       K_nu(x) = int_0^inf cosh(nu y) exp(-x cosh y) dy,
-# whose integrand is even in y and decays doubly exponentially, so the rule
-# converges geometrically in 1/h; the step is halved until two consecutive
-# levels agree.
+# |mu| <= 1/2, then upward recurrence in the order; from x = 2, one pass of
+# the trapezoidal rule on K_nu(x) = e^-x int_0^inf cosh(nu y) exp(-2x sinh^2(y/2)) dy.
+# The integrand is entire, so on the strip |Im y| < d the rule's relative
+# error is at most 2M / (e^(2 pi d/h) - 1), M <= K_nu(x cos d) / K_nu(x)
+# <= e^(x (1 - cos d)) (cos d)^-max(nu, 1/2) (Trefethen & Weideman, SIAM Rev.
+# 56, 385-458, 2014, section 5).  Each point takes the h that makes it 1e-17
+# at d = min(1.5, sqrt(2 log(2e17) / x)), near the d that maximises h.
 # --------------------------------------------------------------------------
 
 # Points per block of ``bessel_k``: a block's flattened (point, node) arrays
 # are the largest temporaries, so the block size bounds the memory of a call
-# on a long x array (about 3.5 MB at most).
+# on a long x array.
 BESSEL_BLOCK = 256
-# Stopping rule of every trapezoid point: two consecutive levels agree to
-# this relative difference.
-BESSEL_RTOL = 1e-13
-# First step 0.5 / 2^m, m the number of these edges at or below x: the
-# largest 0.5 / 2^m below 1.6 / sqrt(x), the integrand's width.  Every x
-# above the last edge keeps 0.5 / 2^4 (K underflows from x ~ 750).
-_STEP_EDGES = 10.24 * 4.0 ** np.arange(4)
-_STEPS = 0.5 ** np.arange(1, 6)
-_FIRST_STEPS = np.array([[1.0], [0.5], [0.25]])  # of levels 0-2, in units of the first
+_LOG_TOL = math.log(2e17)  # log(2 / the trapezoid's relative error bound)
+# Most nodes per trapezoid point (8 MB per block buffer); for x <= 745 only
+# orders at which K_nu(x) overflows need more.
+_MAX_NODES = 4096
 _LOG2 = math.log(2.0)
 # Taylor coefficients of 1/Gamma(1 + z) (Abramowitz & Stegun 6.1.34, shifted
 # by one), enough for 1e-18 on |z| <= 1/2.
@@ -166,23 +164,22 @@ def bessel_k(nu: float, x):
     Below x = 2, Temme's series: with mu = nu - round(nu), |mu| <= 1/2, its
     first 16 terms in x^2/4 give K_mu and K_mu+1 (one polynomial evaluation
     per point, on coefficients computed once per call), and upward recurrence
-    in the order gives K_nu.  From x = 2, the trapezoidal rule on the cosh
-    integral representation, truncated where the integrand falls below e^-60
-    of its scale: each point starts at the step 0.5, or at the largest
-    0.5 / 2^m below 1.6 / sqrt(x) (the integrand's width), and each halving
-    evaluates only the new odd nodes, until two levels agree to
-    ``BESSEL_RTOL`` (at most 12 levels).  A scalar x returns a float, an
-    array x an array of the same shape; every point is computed on its own,
-    so a value does not depend on the rest of the array.
+    in the order gives K_nu.  From x = 2, one pass of the trapezoidal rule on
+    e^-x int_0^inf cosh(nu y) exp(-2x sinh^2(y/2)) dy, truncated where the
+    integrand falls below e^-60 of its scale, at the step that the rule's
+    error bound on a strip (Trefethen & Weideman 2014, section 5) sets to
+    1e-17 relative: 9 to 39 nodes per point for |nu| <= 5.  A scalar x
+    returns a float, an array x an array of the same shape; every point is
+    computed on its own, so a value does not depend on the rest of the array.
 
-    Relative accuracy ~1e-13 wherever K_nu(x) is a normal float, for x in
-    [1e-300, 700] and |nu| <= 2.5 (tested against mpmath), and ~1e-10 for
-    x in [1e-3, 50], |nu| <= 5 (tested against scipy); both methods are
-    valid for every real nu, and the result is even in nu.  Where K_nu(x)
-    overflows the result is +inf, without a warning; x = +inf gives the
-    limit 0.0.  Raises ValueError for a non-finite nu, for an x that is NaN,
-    not positive, or subnormal (below 2.2e-308), and, from x = 2, for an
-    order so large that 5 |nu| overflows (below 2 that order gives inf).
+    Relative accuracy, wherever K_nu(x) is a normal float: ~1e-13 for x in
+    [1e-300, 2) and |nu| <= 2.5, and 1e-15 for x in [2, 700] and |nu| <= 5
+    (tested against mpmath); both methods are valid for every real nu, and
+    the result is even in nu.  Where K_nu(x) overflows the result is +inf,
+    without a warning; x = +inf gives the limit 0.0.  Raises ValueError for
+    a non-finite nu, for an x that is NaN, not positive, or subnormal (below
+    2.2e-308), and, from x = 2, for an order that would take a point past
+    4096 nodes (for x <= 745 K_nu(x) overflows there; below 2 it gives inf).
     """
     if not math.isfinite(nu):
         raise ValueError(f"bessel_k requires a finite order, got {nu}")
@@ -282,68 +279,46 @@ def _temme_series(coef: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid_block(nu: float, x: np.ndarray) -> np.ndarray:
-    """Trapezoid sums for a 1-d block of x >= 2 and nu >= 0: one pass over the
-    ragged (row, node) set for the first three levels, then one per further
-    level; converged points drop out."""
-    # an overflow here is K = inf or a zero term, and inf - inf in the first
-    # convergence test marks a point whose K overflows, which ends as inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        # beyond ymax the integrand is below e^-60 of its scale
-        ymax = np.arccosh(np.maximum(2.0, (60.0 + 5.0 * nu) / x)) + 2.0
-        if not np.all(np.isfinite(ymax)):
+    """Trapezoid sums for a 1-d block of x >= 2 and nu >= 0, in one pass."""
+    xf = np.minimum(x, 1e300)  # e^-x = 0 from x ~ 746: a larger x, inf too, takes 1e300's nodes
+    with np.errstate(over="ignore"):  # an overflow is K = inf
+        # beyond ymax the integrand is below e^-60 of its scale: the first
+        # bound from cosh, the second from sinh(y/2) >= y/2
+        ymax = np.minimum(np.arccosh(np.maximum(2.0, (60.0 + 5.0 * nu) / xf)) + 2.0,
+                          (nu + np.sqrt(nu * nu + 120.0 * xf)) / xf)
+        d = np.minimum(1.5, np.sqrt(2.0 * _LOG_TOL / xf))  # the strip's half-width
+        h = 2.0 * math.pi * d / (xf * (1.0 - np.cos(d)) - max(nu, 0.5) * np.log(np.cos(d))
+                                 + _LOG_TOL)
+        if not np.all(ymax <= _MAX_NODES * h):
             raise ValueError(f"bessel_k: the order {nu} is too large")
-        h = _STEPS[_STEP_EDGES.searchsorted(x, "right")]
-        m = np.ceil(ymax / h).astype(np.intp)  # nodes on (0, ymax] at the first step
-        # levels 0-2 in one pass, as four rows per point: the end node 0
-        # (weight 1/2), the rest of level 0, the new odd nodes of levels 1 and 2
-        rows = [(np.zeros_like(h), h, np.ones_like(m)), (h, h, m), _odd_nodes(h, m, 1),
-                _odd_nodes(h, m, 2)]
-        sums = _node_sums(nu, np.concatenate([x] * 4), *(np.concatenate(r) for r in zip(*rows)))
-        sums = sums.reshape(4, -1)
-        sums[0] *= 0.5
-        tot = np.cumsum(sums, axis=0)[1:]  # node sums of levels 0, 1 and 2
-        t = h * _FIRST_STEPS * tot
-        close = np.abs(t[1:] - t[:-1]) <= BESSEL_RTOL * np.abs(t[1:])
-        s = np.where(close[0], t[1], t[2])
-        live = np.flatnonzero(~(close.any(axis=0) | np.isinf(t[2])))
-        x, h, m, prev, tot = (v[live] for v in (x, h, m, t[2], tot[2]))
-        for level in range(3, 12):
-            if live.size == 0:
-                break
-            tot = tot + _node_sums(nu, x, *_odd_nodes(h, m, level))
-            cur = h * 0.5 ** level * tot
-            s[live] = cur
-            going = ~(np.abs(cur - prev) <= BESSEL_RTOL * np.abs(cur))
-            live, x, h, m, prev, tot = (v[going] for v in (live, x, h, m, cur, tot))
-    return s
-
-
-def _odd_nodes(h, m, level):
-    """(y0, dy, n) of the nodes a level adds on [0, m h]: (2i + 1) h / 2^level."""
-    return h * 0.5 ** level, h * 0.5 ** (level - 1), m << (level - 1)
+        m = np.ceil(ymax / h).astype(np.intp) + 1  # nodes on [0, ymax] and one past it
+        # the node y = 0, whose term is e^-x, has weight 1/2
+        return h * (_node_sums(nu, xf, np.zeros_like(h), h, m) - 0.5 * np.exp(-x))
 
 
 def _node_sums(nu, x, y0, dy, n):
     """Per row, the sum of cosh(nu y) exp(-x cosh y) over y = y0 + dy i, i < n.
 
-    In place on two node-length buffers: at a few hundred kB each, fresh
-    temporaries cost more in page faults than the arithmetic."""
-    first = np.cumsum(n) - n
+    As e^(c - x) times the sum of exp(log cosh(nu y) - 2x sinh^2(y/2) - c):
+    x cosh y, off by ~x ulp at large x, is never formed, and c = 0 unless a
+    term or e^-x would leave the float range.  The index i is an integer
+    until it is scaled, so a node does not depend on its row's place."""
     row = np.repeat(np.arange(n.size), n)
-    y = np.arange(row.size, dtype=float)
-    y *= np.repeat(dy, n)
-    y += np.repeat(y0 - dy * first, n)
-    xc = np.cosh(y)
-    xc *= np.repeat(x, n)
+    y = (np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)) * dy[row] + y0[row]
+    q = nu / x  # the log terms peak below nu asinh(q) - x (sqrt(1 + q^2) - 1)
+    c = np.maximum(nu * np.arcsinh(q) - x * (np.sqrt(1.0 + q * q) - 1.0) - 690.0,
+                   np.maximum(x - 700.0, 0.0))
+    xs = 2.0 * x[row] * np.sinh(0.5 * y) ** 2
     y *= nu  # log cosh u = u + log1p(e^-2u) - log 2 at u = nu y >= 0
     t = np.multiply(y, -2.0)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     y += t
     y -= _LOG2
-    y -= xc  # log cosh(nu y) - x cosh y
+    y -= xs  # log cosh(nu y) - 2x sinh^2(y/2)
+    y -= c[row]
     np.exp(y, out=y)
-    return np.bincount(row, y, minlength=n.size)
+    return np.bincount(row, y, minlength=n.size) * np.exp(c - x)
 
 
 # --------------------------------------------------------------------------

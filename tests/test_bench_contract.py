@@ -11,6 +11,9 @@ suite first.  Nothing under perfbench/ is changed.
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ import hcmlab
 from hcmlab.montecarlo import KsReport
 from hcmlab.monotone import Verdict
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -63,3 +67,23 @@ def test_first_rounds_pass_their_checks(workload):
                 error = f"raised {type(exc).__name__}: {exc}"
             rec = workloads.check(hcmlab, task, result, error)
             assert rec["ok"], rec
+
+
+def test_cli_cold_first_round_passes_its_checks(tmp_path):
+    # round 0 at seed 1: each argv in a cold ``python -m hcmlab.cli`` process,
+    # its report checked as a benchmark run checks it
+    workloads = _load("workloads")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run(argv):
+        argv = [a.format(work=tmp_path) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "hcmlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stdout
+
+    tasks = workloads.round_tasks("cli_cold", 1, 0)
+    assert len(tasks) == 7
+    for task in tasks:
+        rec = workloads.check_cli(task, *run(task["args"]["argv"]), run)
+        assert rec["ok"], rec

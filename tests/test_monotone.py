@@ -574,8 +574,15 @@ class TestIncreaseAtZero:
         assert "increasing" in capsys.readouterr().out
 
     def test_t_zero_is_constant(self):
-        # x^0 = 1: f is the constant 1/(2 + 2 cos pi alpha), which is HCM
-        assert hcm_check_family(FamilyParams(0.7, 0.0)).passed
+        # x^0 = 1: f is the constant 1/(2 + 2 cos pi alpha), which is HCM; near
+        # alpha = 1 the battery's product form cancelled to 1/0 and read PASS on inf
+        for alpha in (0.3, 0.7, 0.99999, 1.0 - 1e-8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = hcm_check_family(FamilyParams(alpha, 0.0))
+            const = 0.5 / (1.0 + math.cos(math.pi * alpha))
+            assert v.passed and v.witness is None, alpha
+            assert "constant" in v.detail and f"{const:.6g}" in v.detail and "inf" not in v.detail
 
 
 @st.composite
