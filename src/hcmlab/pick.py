@@ -63,10 +63,15 @@ def h_value(z, p: FamilyParams):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0.0):
         raise ValueError("h_value requires Im(z) > 0")
-    c = p.cos_pi_alpha
-    t = p.t
-    zt = z ** t
-    out = -2.0 * t * np.imag(zt / z * (zt + c) / (zt * zt + 2.0 * c * zt + 1.0))
+    c, t, beta = p.cos_pi_alpha, p.t, 1.0 - p.alpha
+    if c < -0.5:  # num and den cancel near z^t = 1, c = -1: from z^t - 1 and the exact 1 - a
+        w = np.expm1(t * np.log(z))
+        num = w + 2.0 * math.sin(0.5 * math.pi * beta) ** 2
+        q = (w + 1.0) / z * num / (num * num + math.sin(math.pi * beta) ** 2)
+    else:
+        zt = z ** t
+        q = zt / z * (zt + c) / (zt * zt + 2.0 * c * zt + 1.0)
+    out = -2.0 * t * np.imag(q)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,16 +1,14 @@
 """Quadrature toolbox: tolerance spec, panel rules, oscillatory tails.
 
-Three schemes that take a vectorized integrand, one numpy call per pass:
-an adaptive Gauss-Kronrod panel rule (QUADPACK's G10/K21 pair, applied to
-every active panel at once; the Bromwich head and the branch-cut integral
-run on it), a tanh-sinh rule that tolerates integrable endpoint
-singularities, and a tail rule for semi-infinite Fourier-type integrals,
-rotated onto the ray where the oscillation decays (147 fixed G10/K21 nodes).
-Both also take many integrals at once (panels tagged with a group index;
-arrays of frequency and start), still with one integrand call per pass,
-which is how the Bromwich and branch-cut routes invert a whole lam grid.
-``quad_checked`` maps the scalar integrands elsewhere in the package onto
-the panel rule by a double-exponential change of variable.
+Every rule takes a vectorized integrand, one numpy call per pass.  An
+adaptive Gauss-Kronrod panel rule (QUADPACK's G10/K21 pair on every active
+panel at once, many integrals in one call by a group index) carries the
+Bromwich head, the branch-cut integral and, after a double-exponential
+change of variable that absorbs endpoint singularities and an infinite
+range, ``tanh_sinh`` and ``quad_checked`` (its scalar-integrand form).  A
+tail rule takes semi-infinite Fourier-type integrals, rotated onto the ray
+where the oscillation decays (147 fixed G10/K21 nodes), for arrays of
+frequency and start.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ __all__ = ["QuadratureSpec", "ConvergenceError", "gauss_kronrod_panels", "tanh_s
 
 
 class ConvergenceError(RuntimeError):
-    """An adaptive scheme exhausted its subdivision or level budget."""
+    """An adaptive scheme exhausted its budget, or left too much out at an end."""
 
 
 @dataclass(frozen=True)
@@ -82,38 +80,23 @@ _GK_WEIGHTS = np.stack([_mirror(_K21_W), _mirror(_g10)], axis=1)  # columns: K21
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD, group=None):
-    """Integrate a real, vectorized ``f`` over the panels between ``edges``.
+def gauss_kronrod_panels(f, panels, spec: QuadratureSpec, group):
+    """Integrate a real, vectorized ``f`` over the (n, 2) array of ``panels``.
 
-    Each pass calls ``f`` once, on a 1-d ndarray holding the 21 Kronrod
-    nodes of every active panel.  A panel is retired when |K21 - G10| is
-    within its length share (among the active panels) of the budget
-    max(abs_tol, rel_tol |I|) less what the retired panels used, and is
-    bisected otherwise; a share of the whole length would ask for less
-    than roundoff wherever a long range has its structure in one corner.
-    Each retired panel adds max(|K21 - G10|, 50 eps int |f|) to the error
-    estimate: QUADPACK's roundoff floor, but not its (200 delta)^1.5
-    rescaling, so the estimate is conservative.  Raises ConvergenceError
-    once the bisections exceed ``spec.max_subdivisions``; the initial
-    panels are not counted.
-
-    Returns (value, error_estimate).
-
-    Several integrals at once: ``edges`` is then an (n, 2) array of panel
-    ends [a, b] and ``group`` names, for each panel, the integral 0..G-1 it
-    belongs to.  Every pass still makes one call, ``f(x, g)``, with ``g``
-    the integral of each node, and the retire rule, the budget and the
-    bisection count are kept per integral, so each value is the one the
-    integral would get alone.  Returns two length-G arrays (value, err).
+    ``group`` names each panel's integral, 0..G-1.  Each pass calls ``f(x,
+    g)`` once, on the 21 Kronrod nodes of every active panel and the integral
+    of each.  A panel retires when |K21 - G10| is within its length share
+    (among its integral's active panels) of max(abs_tol, rel_tol |I|) less
+    what that integral's retired panels used, and is bisected otherwise; a
+    share of the whole length would ask for less than roundoff wherever a long
+    range has its structure in one corner.  err adds max(|K21 - G10|, 50 eps
+    int |f|) per retired panel: QUADPACK's roundoff floor without its (200
+    delta)^1.5 rescaling, so it is conservative.  All of this is per
+    integral, so each value is the one it would get alone.  Raises
+    ConvergenceError once an integral's bisections (not counting the initial
+    panels) exceed ``spec.max_subdivisions``.  Returns length-G (value, err).
     """
-    if group is None:
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
-            raise ValueError("edges must be strictly increasing, at least two of them")
-        value, err = gauss_kronrod_panels(lambda x, g: f(x), np.stack([edges[:-1], edges[1:]], 1),
-                                          spec, np.zeros(edges.size - 1, dtype=np.intp))
-        return float(value[0]), float(err[0])
-    a0, b0 = np.asarray(edges, dtype=float).T
+    a0, b0 = np.asarray(panels, dtype=float).T  # ValueError unless two columns
     grp0 = np.asarray(group, dtype=np.intp)
     if not np.all(b0 > a0) or grp0.shape != a0.shape or np.any(grp0 < 0):
         raise ValueError("panels need b > a and one nonnegative group index each")
@@ -149,8 +132,8 @@ def gauss_kronrod_panels(f, edges, spec: QuadratureSpec = DEFAULT_QUAD, group=No
 
 
 # --------------------------------------------------------------------------
-# Double-exponential rules (Takahasi-Mori), quad_checked and tanh-sinh: nodes
-# are offsets from the nearer end, so they never round onto an end at 0.
+# The double-exponential rule (Takahasi-Mori) of quad_checked and tanh_sinh:
+# nodes are offsets from the nearer end, so they never round onto an end at 0.
 # --------------------------------------------------------------------------
 
 def _de_map(u, a, b):
@@ -165,79 +148,82 @@ def _de_map(u, a, b):
     return np.where(sh < 0.0, a + (b - a) * s, b - (b - a) * r), (b - a) * ds
 
 
-def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
-    """int_a^b f(x) dx for a scalar ``f``, a finite and b finite or inf.
+def _de_rule(name, f, a, b, spec):
+    """int_a^b f for a vectorized ``f``, a finite and b finite or inf: (value, err).
 
     ``_de_map`` turns endpoint singularities and the infinite range into
     decay in u, taken on ``gauss_kronrod_panels`` over 0.5-wide panels of u in
     [-6, hi]: hi = 6, less where f overflows at the far end of [a, inf).  f is
-    called once per node inside (a, b); nodes that round onto a nonzero end
-    are dropped.  The mapped integrand |F| at the last node kept at each end
-    stands for what is left out: err adds it, and above max(abs_tol, rel_tol
-    |value|) it raises ConvergenceError, as for a tail too slow for x up to
-    ~1e275, a singularity at a nonzero end (place it at 0) or a range narrower
-    than ~1e-4 |a|.  err is no bound for an integrand that oscillates on
-    [a, inf), whose far u-panels hold many periods.  Returns (value, err).
+    called once per pass, on the nodes inside (a, b), with numpy's overflow
+    and invalid warnings off (an inf or NaN stops convergence); nodes that
+    round onto an end are dropped.  Beyond the last node kept at each end, F =
+    f dx/du is taken to decay at its log-slope over the panel inward, both
+    read off the first pass: err adds that mass, and a mass above
+    max(abs_tol, rel_tol |value|) raises ConvergenceError naming its end.
     """
     if not (math.isfinite(a) and a < b):
-        raise ValueError(f"quad_checked needs finite a < b, got [{a}, {b}]")
+        raise ValueError(f"{name} needs finite a < b, got [{a}, {b}]")
+    passes = []
 
-    def mapped(u):  # NaN where f overflows
+    def mapped(u):  # F on the nodes kept, 0 on those dropped
         x, dx = _de_map(u, a, b)
+        kept, out = (a < x) & (x < b), np.zeros(u.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[kept] = f(x[kept]) * dx[kept]
+        passes.append(out[kept])
+        return out
+
+    hi = 6.0  # pulled in while f overflows there, as x^2 e^-x does at x ~ 1e275
+    while math.isinf(b) and not np.isfinite(mapped(np.array([hi]))).all() and hi > 3.0:
+        hi -= 0.5
+    probes, lo = len(passes), np.arange(-6.0, hi, 0.5)  # the panels' left ends
+    try:
+        value, err = gauss_kronrod_panels(lambda u, g: mapped(u), np.stack([lo, lo + 0.5], 1),
+                                          spec, np.zeros(lo.size, dtype=np.intp))
+    except ConvergenceError as exc:
+        msg = f"{name}: no convergence on [{a}, {b}] ({exc}, in the mapped u)"
+        raise ConvergenceError(msg) from exc
+    value, err, n = float(value[0]), float(err[0]), _GK_NODES.size
+    first = passes[probes]  # F on the first pass's kept nodes, u ascending
+    for end, F in ((a, first), (b, first[::-1])):
+        # |F| at the last node kept and one panel (0.5 in u) inward; a missing node reads 0
+        f0, f1 = np.abs(np.r_[F, np.zeros(n + 1)][[0, n]])
+        rate = 2.0 * (math.log(f1) - math.log(f0)) if f0 > 0.0 and f1 > 0.0 else 0.0
+        cut = f0 / rate if rate > 0.0 else 0.0 if f0 == 0.0 else math.inf
+        if not cut <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            raise ConvergenceError(f"{name}: an estimated {cut:.3e} on [{a}, {b}] is left out "
+                                   f"at the end {end}, above the tolerance")
+        err += cut
+    return value, err
+
+
+def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
+    """int_a^b f(x) dx by ``_de_rule`` for a scalar ``f``, called once a node with a float.
+
+    NaN where f raises OverflowError.  An end raises as left out for a tail
+    too slow for x up to ~1e275, a singularity at a nonzero end (place it at
+    0) or a range narrower than ~1e-4 |a|.  err is no bound for an integrand
+    that oscillates on [a, inf), whose far u-panels hold many periods.
+    """
+    def vectorized(x):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # x * x overflows at x ~ 1e275
-                return np.array([f(v) if a < v < b else 0.0 for v in x.tolist()], dtype=float) * dx
-        except OverflowError:
+            return np.array([f(v) for v in x.tolist()], dtype=float)
+        except OverflowError:  # as x ** k does at x ~ 1e275
             return np.full(x.shape, math.nan)
 
-    end = lambda u: abs(float(mapped(np.array([u]))[0]))  # |F(u)|
-    # |u| <= 6 of the last node kept at each end c: its offset span e^{-pi sinh|u|} >= ulp(c)
-    span = b - a if math.isfinite(b) else 1.0
-    lo, top = (min(6.0, math.asinh(max(math.log(span) - math.log(math.ulp(c)), 0.0) / math.pi))
-               for c in (a, b if math.isfinite(b) else 0.0))
-    hi = 6.0  # pulled in while f overflows there, as x^2 e^-x does at x ~ 1e275
-    while not math.isfinite(end(hi)) and hi > 3.0:
-        hi -= 0.5
-    try:
-        value, err = gauss_kronrod_panels(mapped, np.arange(-6.0, hi + 0.25, 0.5), spec)
-    except ConvergenceError as exc:
-        msg = f"quad_checked: no convergence on [{a}, {b}] ({exc}, in the mapped u)"
-        raise ConvergenceError(msg) from exc
-    cut = end(-lo) + end(min(hi, top))
-    if not cut <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-        raise ConvergenceError(f"quad_checked: the mapped integrand is {cut:.3e} at the ends "
-                               f"of [{a}, {b}] left out, above the tolerance")
-    return value, err + cut
-
-
-_TS_UMAX = 6.1  # beyond this the weights are ~e^-700
+    return _de_rule("quad_checked", vectorized, a, b, spec)
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
-    """Integrate a vectorized callable on (a, b) by the tanh-sinh rule.
+    """int_a^b f by ``_de_rule`` at abs_tol = rel_tol = ``tol``, for a vectorized ``f``.
 
-    ``f`` receives an ndarray of abscissae strictly inside (a, b) and must
-    return the integrand values; integrable endpoint singularities are
-    fine.  The step is halved, at most ten times, until two refinements
-    agree to ``tol`` (mixed absolute/relative).  A singularity at a nonzero
-    end is resolved only to the rounding of ``end - offset`` (~1e-8 relative
-    for an inverse-square-root blowup), so place singularities at 0.
+    ``f`` gets one ndarray of abscissae strictly inside (a, b) per pass, and
+    ConvergenceError is raised as there.  Integrable endpoint singularities
+    are fine, but one at a nonzero end is resolved only to the rounding of
+    ``end - offset`` (~1e-8 relative for an inverse-square-root blowup), so
+    place singularities at 0.
     """
-    prev = None
-    for level in range(11):
-        h = 0.5 ** level
-        kmax = int(math.floor(_TS_UMAX / h))
-        k = np.arange(-kmax, kmax + 1)
-        if level > 0:
-            k = k[k % 2 != 0]
-        x, w = _de_map(k * h, a, b)
-        good = (x > a) & (x < b) & (w > 1e-290)
-        s = float(np.sum(w[good] * f(x[good])))
-        total = h * s if level == 0 else 0.5 * prev + h * s
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
-            return total
-        prev = total
-    raise ConvergenceError("tanh_sinh: level budget exhausted")
+    return _de_rule("tanh_sinh", f, a, b, QuadratureSpec(tol, tol))[0]
 
 
 # --------------------------------------------------------------------------

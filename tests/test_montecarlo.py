@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import kstest, ks_2samp
@@ -208,7 +208,8 @@ class TestBesselProduct:
         assert v.status == "INCONCLUSIVE" and "underflows" in v.detail
 
     def test_one_lhs_call_and_one_call_per_level(self, monkeypatch):
-        # K_a(x) and K_a(y) in one call, then one array call per tanh_sinh level (at most 11)
+        # K_a(x) and K_a(y) in one call, then one array call per pass of tanh_sinh's panel
+        # rule: two here, the initial panels and one bisection
         calls = []
         original = hcmlab.montecarlo.bessel_k
 
@@ -218,8 +219,26 @@ class TestBesselProduct:
 
         monkeypatch.setattr(hcmlab.montecarlo, "bessel_k", counting)
         assert verify_bessel_product_formula(1.0 / 6.0, 1.0, 2.0).passed
-        assert calls[0] == 2 and len(calls) <= 1 + 11
+        assert calls[0] == 2 and len(calls) <= 1 + 3
         assert sum(calls[1:]) > len(calls) - 1
+
+    @pytest.mark.parametrize("alpha,x,y", [(-0.48668454301313036, 2.4528514531105667,
+                                            0.04891975892038797),
+                                           (0.4883677883234111, 3.208047212295005,
+                                            0.0017557578470422815)])
+    def test_left_out_end_is_inconclusive(self, alpha, x, y):
+        # the t^(-2|a|) singularity at 0 holds more than 5e-14 beyond the last node
+        v = verify_bessel_product_formula(alpha, x, y)
+        assert v.status == "INCONCLUSIVE" and "left out" in v.detail and "end 0.0" in v.detail
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-0.499, 0.499, exclude_min=True, exclude_max=True),
+           st.floats(1e-3, 1e2), st.floats(1e-3, 1e2))
+    @example(-0.48668454301313036, 2.4528514531105667, 0.04891975892038797)
+    @example(0.4883677883234111, 3.208047212295005, 0.0017557578470422815)
+    def test_theorem_never_reads_fail(self, alpha, x, y):
+        # the identity holds for |a| < 1/2: PASS where the integral is resolved, else INCONCLUSIVE
+        assert verify_bessel_product_formula(alpha, x, y).status != "FAIL"
 
 
 class TestSqrtGammaCdfTable:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import hcmlab.pick
 from hcmlab.monotone import ScanGrid
-from hcmlab.pick import (HalfPlaneScan, figure2_data, ggc_pick_scan, h_negative_axis,
-                         h_value, stieltjes_probe, write_figure2_csv)
+from hcmlab.pick import (DEFAULT_SCAN, HalfPlaneScan, figure2_data, ggc_pick_scan,
+                         h_negative_axis, h_value, stieltjes_probe, write_figure2_csv)
 from hcmlab.laplace import branch_cut_kernel
 from hcmlab.monotone import cm_check_by_inversion, hcm_check_family
 from hcmlab.specfun import FamilyParams, f_family, p_alpha
@@ -44,6 +45,35 @@ class TestHValue:
                     h_value(z0 + 1j * d, P_FIG2), h_value(z0 - 1j * d, P_FIG2)]
             scale = max(abs(v) for v in ring + [center])
             assert abs(sum(ring) - 4.0 * center) <= 1e-4 * max(scale, 1e-12)
+
+
+    @pytest.mark.parametrize("alpha,t", [(0.9999999999999999, 5.551115123125783e-17),
+                                         (0.9999999999, 1e-13)])
+    def test_cos_near_minus_one_at_tiny_t(self, alpha, t):
+        # z^t + cos(pi a) and the denominator cancel where z^t ~ 1 and cos(pi a) ~ -1; the
+        # scan's lines held -inf and values off by 2e12, now h matches 50-digit mpmath
+        p = FamilyParams(alpha, t)
+        re = np.linspace(*DEFAULT_SCAN.re_range, DEFAULT_SCAN.n_per_level)
+        z = (re + 1j * np.asarray(DEFAULT_SCAN.im_levels)[:, None]).ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ggc_pick_scan(p)
+            hs = h_value(z, p)
+        (x, y), m = v.witness
+        assert v.failed and math.isfinite(x) and math.isfinite(y) and -math.inf < m < 0.0
+        assert np.all(np.isfinite(hs))
+        k = np.r_[np.argmin(hs), np.arange(0, z.size, 199)]
+        with mpmath.workdps(50):
+            c, tm = mpmath.cos(mpmath.pi * mpmath.mpf(alpha)), mpmath.mpf(t)
+
+            def h_ref(zk):
+                zk = mpmath.mpc(zk.real, zk.imag)
+                zt = mpmath.exp(tm * mpmath.log(zk))
+                return float(-2 * tm * mpmath.im(zt / zk * (zt + c) / (zt * zt + 2 * c * zt + 1)))
+
+            ref = np.array([h_ref(zk) for zk in z[k]])
+        assert np.all(np.abs(hs[k] - ref) <= 1e-12 * np.abs(ref).max())
+        assert hs[k[0]] == pytest.approx(ref[0], rel=1e-12)
 
 
 class TestHNegativeAxis:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from hcmlab.quadrature import (_GK_NODES, _GK_WEIGHTS, TAIL_NODES, ConvergenceError,
-                               QuadratureSpec, gauss_kronrod_panels, oscillatory_tail,
-                               quad_checked, tanh_sinh)
+from hcmlab.quadrature import (_GK_NODES, _GK_WEIGHTS, DEFAULT_QUAD, TAIL_NODES,
+                               ConvergenceError, QuadratureSpec, gauss_kronrod_panels,
+                               oscillatory_tail, quad_checked, tanh_sinh)
 
 
 class TestQuadratureSpec:
@@ -121,8 +121,8 @@ class TestGaussKronrodPanels:
 
     def test_k21_exact_through_degree_31(self):
         for d in range(32):
-            val, _ = gauss_kronrod_panels(lambda x: x ** d, [0.0, 1.0], self.LOOSE)
-            assert val == pytest.approx(1.0 / (d + 1), abs=4e-16)
+            val, _ = gauss_kronrod_panels(lambda x, g: x ** d, [[0.0, 1.0]], self.LOOSE, [0])
+            assert val[0] == pytest.approx(1.0 / (d + 1), abs=4e-16)
 
     def test_g10_nodes_are_gauss_legendre(self):
         nodes, weights = np.polynomial.legendre.leggauss(10)
@@ -134,25 +134,28 @@ class TestGaussKronrodPanels:
         # int_0^20 e^{-x/5} cos(7x) dx = Re[(e^{20 (7i - 1/5)} - 1) / (7i - 1/5)]
         s = 7j - 0.2
         exact = ((np.exp(20.0 * s) - 1.0) / s).real
-        val, err = gauss_kronrod_panels(lambda x: np.exp(-0.2 * x) * np.cos(7.0 * x),
-                                        np.linspace(0.0, 20.0, 5))
-        assert val == pytest.approx(exact, abs=1e-12)
-        assert err >= abs(val - exact)
+        edges = np.linspace(0.0, 20.0, 5)
+        val, err = gauss_kronrod_panels(lambda x, g: np.exp(-0.2 * x) * np.cos(7.0 * x),
+                                        np.stack([edges[:-1], edges[1:]], 1), DEFAULT_QUAD,
+                                        np.zeros(4, dtype=int))
+        assert val[0] == pytest.approx(exact, abs=1e-12)
+        assert err[0] >= abs(val[0] - exact)
 
     def test_exhaustion_raises(self):
         q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=1)
         with pytest.raises(ConvergenceError):
-            gauss_kronrod_panels(lambda x: np.sin(50.0 * x) * np.cos(91.3 * x), [0.0, 20.0], q)
+            gauss_kronrod_panels(lambda x, g: np.sin(50.0 * x) * np.cos(91.3 * x), [[0.0, 20.0]],
+                                 q, [0])
 
     def test_one_array_per_pass(self):
         seen = []
 
-        def f(x):
+        def f(x, g):
             seen.append(x)
             return 1.0 / (1.0 + 100.0 * x * x)
 
-        val, _ = gauss_kronrod_panels(f, [-1.0, 1.0])
-        assert val == pytest.approx(0.2 * math.atan(10.0), abs=1e-12)
+        val, _ = gauss_kronrod_panels(f, [[-1.0, 1.0]], DEFAULT_QUAD, [0])
+        assert val[0] == pytest.approx(0.2 * math.atan(10.0), abs=1e-12)
         assert len(seen) > 1  # bisected at least once
         for x in seen:
             assert isinstance(x, np.ndarray) and x.ndim == 1 and x.size % 21 == 0
@@ -170,19 +173,22 @@ class TestGaussKronrodPanels:
 
         edges = np.concatenate([np.stack([e[:-1], e[1:]], 1) for e, _ in ranges.values()])
         group = np.repeat([0, 1], [4, 2])
-        val, err = gauss_kronrod_panels(f, edges, group=group)
+        val, err = gauss_kronrod_panels(f, edges, DEFAULT_QUAD, group)
         assert val.shape == err.shape == (2,)
         assert len(seen) > 1 and all(g.ndim == 1 and g.size % 21 == 0 for g in seen)
         for k, (e, w) in ranges.items():
-            v1, e1 = gauss_kronrod_panels(lambda x: np.exp(-0.2 * x) * np.cos(w * x), e)
-            assert val[k] == pytest.approx(v1, rel=1e-15, abs=1e-15)
-            assert err[k] == pytest.approx(e1, rel=1e-6, abs=1e-15)
+            v1, e1 = gauss_kronrod_panels(lambda x, g: np.exp(-0.2 * x) * np.cos(w * x),
+                                          np.stack([e[:-1], e[1:]], 1), DEFAULT_QUAD,
+                                          np.zeros(e.size - 1, dtype=int))
+            assert val[k] == pytest.approx(v1[0], rel=1e-15, abs=1e-15)
+            assert err[k] == pytest.approx(e1[0], rel=1e-6, abs=1e-15)
 
     def test_edges_must_increase(self):
         with pytest.raises(ValueError):
-            gauss_kronrod_panels(np.sin, [0.0, 1.0, 1.0])
+            gauss_kronrod_panels(lambda x, g: np.sin(x), [[0.0, 1.0], [1.0, 1.0]], DEFAULT_QUAD,
+                                 [0, 0])
         with pytest.raises(ValueError):
-            gauss_kronrod_panels(np.sin, [0.0])
+            gauss_kronrod_panels(lambda x, g: np.sin(x), [0.0], DEFAULT_QUAD, [0])
 
 
 class TestOscillatoryTail:
