@@ -275,22 +275,31 @@ def _run_invert(args, report: RunReport):
     lams = np.asarray(sorted(args.lambdas), dtype=float)
     methods = ("bromwich", "branch_cut") if args.method == "both" else \
         (args.method.replace("-", "_"),)
+    # From t = 1 - alpha on, poles enter and the cut representation no longer holds.  That is
+    # a regime limit, not a usage error, once the lam themselves are valid for the route.
+    cut_blocked = not p.t < 1.0 - p.alpha and bool(np.all(np.isfinite(lams) & (lams >= 0.0)))
     rows = {}
     for m in methods:
+        if m == "branch_cut" and cut_blocked:
+            report.add("branch_cut_regime", Verdict(INCONCLUSIVE, _INVERT_TOL, detail=(
+                f"the branch-cut route needs a pole-free continuation, t < 1 - alpha = "
+                f"{1.0 - p.alpha:.6g}, got t = {p.t:.6g}; past it the poles' residues "
+                "would have to be added, which it does not do")))
+            continue
         res = invert_grid(p, lams, method=m, c=args.c)
         rows[m] = res
         report.params.setdefault("results", {})[m] = {
             "lambda": _jsonable(res.lambdas), "g": _jsonable(res.values),
             "est_error": res.est_error,
         }
-    if args.out:
+    if args.out and rows:
         res = rows[methods[0]]
         with open(args.out, "w") as fh:
             fh.write("lambda,g,err\n")
             for lam, g in zip(res.lambdas, res.values):
                 fh.write(f"{lam:.15g},{g:.15g},{res.est_error:.15g}\n")
         report.artifacts.append(args.out)
-    if args.method == "both":
+    if len(rows) == 2:
         a, b = rows["bromwich"].values, rows["branch_cut"].values
         gap = float(np.max(np.abs(a - b)))
         # a gap is certified only once both routes' own error estimates are taken off it

@@ -15,7 +15,11 @@ Inverse direction, for f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
   whole lam grid goes through one batched pass: every lam keeps its own
   abscissa, panels and retire rule, but each adaptive pass is one f' call
   for the grid, and so are all its tails (grids too big for one pass are
-  split into chunks of at most ``MAX_HEAD_PANELS`` panels).
+  split into chunks of at most ``MAX_HEAD_PANELS`` panels).  The line
+  geometry (the first pass's panels, log z and e^{i lam y} at its nodes,
+  log z at the tail nodes) depends on (lam, c) alone; the last chunk's is
+  kept, so the verdicts of a CM predicate or a critical-index search on one
+  grid pay at most one complex exp per node for those passes.
 
 * ``branch_cut_invert`` uses the real-axis representation obtained by
   collapsing the contour onto the negative axis (valid while the
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (DEFAULT_QUAD, TAIL_PANELS, ConvergenceError, QuadratureSpec,
+from .quadrature import (DEFAULT_QUAD, TAIL_NODES, TAIL_PANELS, ConvergenceError, QuadratureSpec,
                          gauss_kronrod_panels, oscillatory_tail, quad_checked)
 from .specfun import FamilyParams, f_family_prime, p_alpha, pole_locations
 
@@ -57,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InversionResult:
     """g = L^{-1} f sampled on a lambda grid, with the method used."""
 
@@ -125,7 +129,10 @@ def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
     bisection budget, but one adaptive pass makes one f' call for the whole
     grid, and all tails share one more.  A grid is split into consecutive
     chunks of at most ``MAX_HEAD_PANELS`` head plus tail panels, so no pass
-    builds a bigger node array than one lam at the cap.
+    builds a bigger node array than one lam at the cap.  The first head pass
+    and the tails of a chunk whose (lam, c, m) is the last chunk's (up to a
+    512 kB geometry, the default 40-point grid taking 383 kB) reuse its log z
+    and e^{i lam y}, with the same values to the bit.
 
     Raises ValueError if a line does not clear the poles of the
     continuation, ConvergenceError if the head rule exhausts its bisection
@@ -184,24 +191,94 @@ def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
     return g
 
 
-def _bromwich_chunk(p, lams, cs, m, y0, spec):
-    """Unscaled head + tail for a chunk of lam: (Re int, error estimate) per lam."""
-    # the panel edges of np.linspace(0, y0, m + 1), laid end to end for every lam
+class _LineCache:
+    """The line geometry of the last chunk whose geometry fits in ``cap`` bytes.
+
+    That is what the chunk's first head pass and its tail read: the initial
+    head panels and their lam index, log z and e^{i lam y} at that pass's
+    nodes, and log z at the tail's nodes.  It depends on (lam, c, m) alone,
+    and the key is the exact bytes of those arrays.
+    """
+
+    def __init__(self, cap: int):
+        self.cap, self.key, self.geometry = cap, None, ()
+
+    @staticmethod
+    def size(panels: int, lams: int) -> int:
+        """Bytes of a chunk's geometry: per head panel 2 edges, an index and 21
+        Kronrod nodes' (log z, e^{i lam y}); per lam the tail nodes' log z."""
+        return panels * (24 + 32 * 21) + 16 * TAIL_NODES * lams
+
+    def get(self, key):
+        return self.geometry if key == self.key else None
+
+    def put(self, key, geometry):
+        for a in geometry:  # a hit reads these arrays and must never change them
+            a.flags.writeable = False
+        self.key, self.geometry = key, geometry
+
+
+# One entry serves a CM predicate's grid across verdicts and a search's probes.  The default
+# 40-point grid's geometry takes 383 kB; a chunk over the cap (a refined 160-point grid would
+# take 1.5 MB) is not kept and leaves the held one in place.
+_LINE_CACHE = _LineCache(1 << 19)
+
+
+def _head_panels(m, y0):
+    """The panel edges of np.linspace(0, y0, m + 1), laid end to end for every lam, and each
+    panel's lam index."""
     last = np.cumsum(m)
-    group = np.repeat(np.arange(lams.size), m)
+    group = np.repeat(np.arange(m.size), m)
     j = np.arange(last[-1]) - np.repeat(last - m, m)
     step = (y0 / m)[group]
     b = (j + 1) * step
     b[last - 1] = y0
-    head, head_err = gauss_kronrod_panels(
-        lambda y, k: (f_family_prime(cs[k] + 1j * y, p) * np.exp(1j * lams[k] * y)).real,
-        np.stack([j * step, b], axis=1), spec, group)
+    return np.stack([j * step, b], axis=1), group
+
+
+def _bromwich_chunk(p, lams, cs, m, y0, spec):
+    """Unscaled head + tail for a chunk of lam: (Re int, error estimate) per lam.
+
+    The first head pass runs on the initial panels' own nodes, so on a hit it
+    and the tail read ``_LINE_CACHE``'s geometry; later passes compute theirs.
+    """
+    key = lams.tobytes() + cs.tobytes() + m.tobytes()
+    cached = _LINE_CACHE.get(key)
+    # log_z1, phase1: log z and e^{i lam y} at the first head pass's nodes
+    panels, group, log_z1, phase1, tail_log_z = cached or (*_head_panels(m, y0), None, None, None)
+    keep = cached is None and _LINE_CACHE.size(len(panels), len(lams)) <= _LINE_CACHE.cap
+    first = True
+
+    def head(y, k):
+        nonlocal first, log_z1, phase1
+        z = cs[k] + 1j * y
+        if first and cached is not None:
+            fz, phase = f_family_prime(z, p, log_z1), phase1
+        else:
+            log_z = np.log(z) if first and keep else None
+            fz = f_family_prime(z, p, log_z)
+            phase = np.exp(1j * (lams[k] * y))
+            if log_z is not None:
+                log_z1, phase1 = log_z, phase
+        first = False
+        fz *= phase
+        return fz.real
+
+    def tail(y):
+        nonlocal tail_log_z
+        z = cs[:, None] + 1j * y
+        if keep:
+            tail_log_z = np.log(z)
+        return f_family_prime(z, p, tail_log_z)
+
+    head_val, head_err = gauss_kronrod_panels(head, panels, spec, group)
     # The tail's quarter plane is {Im z >= y0, Re z <= c} for phi(y) = f'(c + iy).  Every
     # pole has |z| = 1 and the cut lies on Im z = 0, while y0 = m pi/lam >= 4 for every lam
     # (m >= 4 lam/pi, m >= 1): f' is analytic there and decays, so the rotation is valid.
-    tail, tail_err = oscillatory_tail(lambda y: f_family_prime(cs[:, None] + 1j * y, p),
-                                      lams, y0)
-    return head + tail.real, head_err + tail_err
+    tail_val, tail_err = oscillatory_tail(tail, lams, y0)
+    if keep:
+        _LINE_CACHE.put(key, (panels, group, log_z1, phase1, tail_log_z))
+    return head_val + tail_val.real, head_err + tail_err
 
 
 # --------------------------------------------------------------------------
@@ -258,9 +335,11 @@ def _cut_integrals(p: FamilyParams, lams: np.ndarray, log_upper: np.ndarray, spe
     u_lo = math.log(_X_MIN)
     x0 = kernel_sign_change(p)
     cuts = np.array([0.0] if x0 is None else [0.0, math.log(x0)])
-    edges = [np.unique(np.concatenate([np.arange(math.ceil(u_lo), hi), [u_lo, hi],
-                                       cuts[(cuts > u_lo) & (cuts < hi)]]))
+    edges = [np.sort(np.concatenate([np.arange(math.ceil(u_lo), hi), [u_lo, hi],
+                                     cuts[(cuts > u_lo) & (cuts < hi)]]))
              for hi in log_upper]
+    # repeated edges dropped by hand: np.unique would import numpy.ma, 1 MB of a cold CLI run
+    edges = [e[np.concatenate([[True], np.diff(e) > 0.0])] for e in edges]
     panels = np.concatenate([np.stack([e[:-1], e[1:]], axis=1) for e in edges])
     group = np.repeat(np.arange(lams.size), [e.size - 1 for e in edges])
 
@@ -292,12 +371,12 @@ def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams,
     plus the 1e-16 bound on the dropped (0, 1e-16) (and at lam = 0 the
     series envelope at truncation), scaled by 1/pi.
     """
-    _require_cut_regime(p)
     lams = np.asarray(lam, dtype=float)
     scalar = lams.ndim == 0
     if lams.ndim > 1 or not np.all(np.isfinite(lams) & (lams >= 0.0)):
         raise ValueError(f"branch_cut_invert requires finite lam >= 0, a scalar or a 1-d array, "
                          f"got lam = {lam}")
+    _require_cut_regime(p)
     lams = lams.reshape(-1)
     zero = lams == 0.0
     log_upper = np.maximum(math.log(60.0) - np.log(np.where(zero, 1.0, lams)), math.log(10.0))
@@ -401,4 +480,4 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
                            np.concatenate([cs, 1.3 * cs[ends]]), spec, return_err=True)
     n = lam.size
     err = max(float(np.max(e[:n])), float(np.max(np.abs(g[ends] - g[n:]))))
-    return InversionResult(lam, g[:n], "bromwich", err)
+    return InversionResult(lam, g[:n].copy(), "bromwich", err)  # a view would keep the ends

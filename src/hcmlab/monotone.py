@@ -60,7 +60,7 @@ class InconclusiveError(RuntimeError):
     """A predicate needed by a search returned INCONCLUSIVE."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of a numerical property check.
 

@@ -351,18 +351,40 @@ def f_family(z, p: FamilyParams):
     return out
 
 
-def f_family_prime(z, p: FamilyParams):
+def f_family_prime(z, p: FamilyParams, log_z=None):
     """Derivative f'(z) = -2t z^{t-1} (z^t + cos pi alpha) / P(z^t)^2, for z != 0.
 
-    z^{t-1} is formed as z^t / z, so each point costs one complex power.
+    z^t is exp(t log z) and z^{t-1} is z^t / z, so each point costs one
+    complex log and one complex exp; a caller that already holds the
+    principal log z of every point passes it as ``log_z`` (the shape of z)
+    and saves the log.  At t = 1/2 and 1, z^t is sqrt(z) and z, the values
+    numpy's power gives there.  The arithmetic runs in place on three work
+    arrays.
     """
     z = np.asarray(z, dtype=complex)
-    c = p.cos_pi_alpha
-    zt = z ** p.t
-    q = p_alpha(zt, p.alpha)
-    out = -2.0 * p.t * (zt / z) * (zt + c) / (q * q)
-    if out.ndim == 0:
-        return complex(out)
+    if z.ndim == 0:
+        return complex(f_family_prime(z.reshape(1), p, None if log_z is None else
+                                      np.reshape(log_z, 1))[0])
+    if p.t in (0.5, 1.0):  # numpy's z ** t takes these as sqrt(z) and z
+        zt = np.sqrt(z) if p.t == 0.5 else z.copy()
+    else:
+        if log_z is None:
+            zt = np.log(z)
+            zt *= p.t
+        else:
+            zt = log_z * p.t
+        np.exp(zt, out=zt)
+    # P(z^t)^2 and -2t (z^t / z) (z^t + c), in the operation order of the plain formula
+    q = zt * zt
+    out = zt * (2.0 * p.cos_pi_alpha)
+    q += out
+    q += 1.0
+    q *= q
+    np.divide(zt, z, out=out)
+    out *= -2.0 * p.t
+    zt += p.cos_pi_alpha
+    out *= zt
+    out /= q
     return out
 
 

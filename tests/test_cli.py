@@ -7,7 +7,9 @@ import pytest
 
 import hcmlab.montecarlo
 from hcmlab.cli import EX_USAGE, build_parser, main
+from hcmlab.laplace import invert_grid
 from hcmlab.monotone import DEFAULT_LAMBDA_GRID
+from hcmlab.specfun import FamilyParams
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,35 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == EX_USAGE and out == ""
         assert "lam = 0" in err and "--method branch-cut" in err
+
+    @pytest.mark.parametrize("t", ["0.85", "0.7"])  # inside the open strip, and at t = 1 - alpha
+    def test_branch_cut_past_its_regime_is_inconclusive(self, capsys, t):
+        code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", t,
+                            "--lambda", "1", "5", "--method", "both")
+        assert code == 2
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "branch_cut_regime" and verdict["status"] == "INCONCLUSIVE"
+        assert "t < 1 - alpha = 0.7" in verdict["detail"] and f"t = {t}" in verdict["detail"]
+        results = rep["params"]["results"]
+        assert list(results) == ["bromwich"]
+        g = invert_grid(FamilyParams(0.3, float(t)), [1.0, 5.0]).values
+        assert results["bromwich"]["g"] == g.tolist()
+
+    def test_branch_cut_alone_past_its_regime_is_inconclusive(self, capsys, tmp_path):
+        out = tmp_path / "g.csv"
+        code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.85", "--lambda", "0",
+                            "5", "--method", "branch-cut", "--out", str(out))
+        assert code == 2
+        assert [v["name"] for v in rep["verdicts"]] == ["branch_cut_regime"]
+        assert "results" not in rep["params"] and rep["artifacts"] == [] and not out.exists()
+
+    @pytest.mark.parametrize("method", ["branch-cut", "both"])
+    def test_bad_lambda_past_the_cut_regime_is_still_usage(self, capsys, method):
+        code = main(["invert", "--alpha", "0.3", "--t", "0.85", "--lambda", "-1", "5",
+                     "--method", method])
+        out, err = capsys.readouterr()
+        assert code == EX_USAGE and out == ""
+        assert "lam" in err
 
     def test_cm_diff_rejects_lambda_grid_flags(self, capsys):
         for flag, value in (("--lambda-min", "0.1"), ("--lambda-max", "20"), ("--n", "30")):

@@ -1,9 +1,10 @@
+import contextlib
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hcmlab.laplace
@@ -11,7 +12,7 @@ from hcmlab.laplace import (MAX_HEAD_PANELS, InversionResult, branch_cut_invert,
                             branch_cut_kernel, bromwich_invert, closed_form_inverse_t1,
                             default_abscissa, invert_grid, kernel_sign_change,
                             kernel_total_integral, laplace_forward)
-from hcmlab.monotone import ScanGrid, cm_check_by_inversion
+from hcmlab.monotone import DEFAULT_LAMBDA_GRID, ScanGrid, cm_check_by_inversion
 from hcmlab.quadrature import TAIL_PANELS, ConvergenceError, QuadratureSpec, oscillatory_tail
 from hcmlab.specfun import FamilyParams, f_family, f_family_prime
 
@@ -247,6 +248,72 @@ class TestBromwichGrid:
             g, err = bromwich_invert(FamilyParams(alpha, 1.0), lams, return_err=True)
             exact = np.array([closed_form_inverse_t1(lam, alpha) for lam in lams])
             assert np.all(np.abs(g - exact) <= err), alpha
+
+
+@contextlib.contextmanager
+def _line_cache(cap=hcmlab.laplace._LINE_CACHE.cap):
+    """A fresh Bromwich line-geometry cache of ``cap`` bytes in place of the module's."""
+    saved = hcmlab.laplace._LINE_CACHE
+    hcmlab.laplace._LINE_CACHE = cache = hcmlab.laplace._LineCache(cap)
+    try:
+        yield cache
+    finally:
+        hcmlab.laplace._LINE_CACHE = saved
+
+
+class TestLineCache:
+    """The first head pass and the tails read a cached line geometry; a hit changes no value."""
+
+    @staticmethod
+    def _calls(p):
+        def grid():
+            try:
+                g, err = bromwich_invert(p, np.array([0.3, 2.0, 9.0]), return_err=True)
+                return g.tobytes() + err.tobytes()
+            except ConvergenceError as exc:
+                return repr(exc)
+        return grid, lambda: repr(cm_check_by_inversion(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.5, exclude_min=True))
+    # the principal pole's Re is 6.1e-17 > 0 here, so the abscissa and the key are not lam's alone
+    @example(0.5, 1.0)
+    def test_warm_cache_gives_the_same_bits(self, alpha, t):
+        calls = self._calls(FamilyParams(alpha, t))
+        # where cos(pi alpha) ~ -1 and t ~ 0, P(z^t) ~ 0 and f' divides by 0: only bits count here
+        with np.errstate(all="ignore"), _line_cache(cap=0) as off:
+            uncached = [call() for call in calls]
+        assert off.key is None
+        with np.errstate(all="ignore"), _line_cache() as cache:
+            for call, bits in zip(calls, uncached):
+                assert call() == bits  # a miss, which stores the geometry unless it fails
+                key, geometry = cache.key, cache.geometry
+                assert geometry or isinstance(bits, str) and (
+                    "ConvergenceError" in bits or "INCONCLUSIVE" in bits)
+                assert call() == bits  # a hit
+                assert cache.key == key and cache.geometry is geometry
+
+    def test_held_bytes_stay_within_the_cap(self):
+        with _line_cache() as cache:
+            cm_check_by_inversion(FamilyParams(0.3, 0.8))
+            lams = DEFAULT_LAMBDA_GRID.points()
+            geometry = cache.geometry
+            # the default grid's geometry is kept, and the size bound counts its bytes
+            panels = int(np.sum(np.ceil(4.0 * lams / math.pi)))
+            held = sum(a.nbytes for a in geometry)
+            assert held == cache.size(panels, lams.size) <= cache.cap
+            assert not any(a.flags.writeable for a in geometry)
+            cm_check_by_inversion(FamilyParams(0.3, 0.8), ScanGrid(0.05, 50.0, 160))
+            assert cache.geometry is geometry  # 1.5 MB: not kept, and the held one stays
+            # one lam whose head and tail panels fill a whole chunk
+            lam = (MAX_HEAD_PANELS - TAIL_PANELS - 0.5) * math.pi / 4.0
+            assert math.ceil(4.0 * lam / math.pi) + TAIL_PANELS == MAX_HEAD_PANELS
+            bromwich_invert(FamilyParams(0.3, 0.5), lam, c=0.02)
+            assert cache.geometry is geometry
+            bromwich_invert(FamilyParams(0.3, 0.5), 2.0)  # a point that fits replaces it
+            assert cache.geometry is not geometry
+            assert 0 < sum(a.nbytes for a in cache.geometry) <= cache.cap
 
 
 class TestBranchCutKernel:

@@ -83,7 +83,7 @@ class TestCmByInversion:
         calls = []
         prime = hcmlab.laplace.f_family_prime
         monkeypatch.setattr(hcmlab.laplace, "f_family_prime",
-                            lambda z, p: calls.append(z.size) or prime(z, p))
+                            lambda z, p, log_z=None: calls.append(z.size) or prime(z, p, log_z))
         cm_check_by_inversion(FamilyParams(0.3, t))
         assert 0 < len(calls) <= 16
 
@@ -92,7 +92,7 @@ class TestCmByInversion:
         points = []
         prime = hcmlab.laplace.f_family_prime
         monkeypatch.setattr(hcmlab.laplace, "f_family_prime",
-                            lambda z, p: points.append(z.size) or prime(z, p))
+                            lambda z, p, log_z=None: points.append(z.size) or prime(z, p, log_z))
         for t in (0.65, 1.0):
             points.clear()
             cm_check_by_inversion(FamilyParams(0.3, t))

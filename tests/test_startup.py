@@ -101,6 +101,28 @@ def test_subcommand_leaves_scipy_unloaded(name, tmp_path):
         assert agreement["status"] == "PASS"
 
 
+_ALL_SUBCOMMANDS_CHILD = """\
+import contextlib, io, json, sys
+import hcmlab.cli
+loaded = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        hcmlab.cli.main(argv)
+    loaded[name] = "numpy.ma" in sys.modules
+sys.stdout.write(json.dumps(loaded) + "\\n")
+"""
+
+
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    """numpy.ma costs about 9 ms and 1 MB of a cold process; np.unique is what imports it."""
+    argvs = {name: [a.replace("{tmp}", str(tmp_path)) for a in argv]
+             for name, argv in SCIPY_FREE.items()}
+    (line,) = fresh_stdout(_ALL_SUBCOMMANDS_CHILD, json.dumps(argvs))
+    loaded = json.loads(line)
+    assert list(loaded) == list(SCIPY_FREE)
+    assert not any(loaded.values()), loaded
+
+
 def test_scalar_quadrature_paths_leave_scipy_unloaded():
     (line,) = fresh_stdout(_LIBRARY_CHILD)
     out = json.loads(line)
