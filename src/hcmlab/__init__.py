@@ -9,16 +9,14 @@ factorizations, and a CLI front end (``hcmlab``) with JSON/CSV output.
 """
 
 from .specfun import FamilyParams, bessel_k, f_family, log_gamma, p_alpha, pole_locations
-from .densities import (DensitySpec, HcmProductForm, cdf_T_alpha, density_T_alpha,
-                        density_sqrt_Z_one_third, density_sqrt_gamma_product,
-                        eval_hcm_product_form, mellin_T_alpha, mellin_gamma_mixture_ratio)
+from .densities import (cdf_T_alpha, density_T_alpha, density_sqrt_Z_one_third,
+                        density_sqrt_gamma_product, mellin_T_alpha)
 from .quadrature import ConvergenceError, QuadratureSpec, tanh_sinh
 from .laplace import (InversionResult, branch_cut_invert, branch_cut_kernel,
                       bromwich_invert, closed_form_inverse_t1, invert_grid,
-                      kernel_total_integral, laplace_forward)
-from .monotone import (ScanGrid, SignChangeError, Verdict, cm_check_by_differences,
-                       cm_check_by_inversion, estimate_critical_t, hcm_check,
-                       hcm_check_family, hcm_product_rewrite, sign_change_lemma_check)
+                      kernel_total_integral)
+from .monotone import (ScanGrid, Verdict, cm_check_by_differences, cm_check_by_inversion,
+                       estimate_critical_t, hcm_check, hcm_check_family, hcm_product_rewrite)
 from .pick import (HalfPlaneScan, figure2_data, ggc_pick_scan, h_negative_axis,
                    h_value, stieltjes_probe, write_figure2_csv)
 from .montecarlo import (KsReport, SampleSet, ks_statistic, ks_statistic_two_sample,

@@ -1,8 +1,6 @@
-"""Numerical Laplace transform and two independent inversion routes.
+"""Two independent numerical Laplace-inversion routes.
 
-Forward direction: int_0^inf e^{-x lam} g(lam) by ``quad_checked``.
-
-Inverse direction, for f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
+For f(z) = 1/(z^2t + 2 cos(pi a) z^t + 1):
 
 * ``bromwich_invert`` integrates e^{lam z} f(z) along a vertical line
   Re z = c.  Conjugate symmetry folds the line onto y >= 0, and one
@@ -45,12 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (DEFAULT_QUAD, TAIL_NODES, TAIL_PANELS, ConvergenceError, QuadratureSpec,
-                         gauss_kronrod_panels, oscillatory_tail, quad_checked)
+                         gauss_kronrod_panels, oscillatory_tail)
 from .specfun import FamilyParams, f_family_prime, p_alpha, pole_locations
 
 __all__ = [
     "InversionResult",
-    "laplace_forward",
     "bromwich_invert",
     "branch_cut_kernel",
     "kernel_sign_change",
@@ -78,16 +75,6 @@ class InversionResult:
             raise ValueError("est_error must be >= 0")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-def laplace_forward(g, x: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """int_0^inf e^{-x lam} g(lam) d lam for x > 0 by adaptive quadrature.
-
-    ``g`` is called once per node and may have an integrable singularity at 0.
-    """
-    if x <= 0.0:
-        raise ValueError("laplace_forward requires x > 0")
-    return quad_checked(lambda lam: math.exp(-x * lam) * g(lam), 0.0, np.inf, spec)[0]
 
 
 # --------------------------------------------------------------------------

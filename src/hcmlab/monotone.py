@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (DEFAULT_QUAD, ConvergenceError, QuadratureSpec,
-                         quad_checked)
+from .quadrature import ConvergenceError
 from .specfun import FamilyParams, pole_locations
 from .laplace import bromwich_invert
 
@@ -35,11 +34,9 @@ __all__ = [
     "Verdict",
     "ScanGrid",
     "DEFAULT_LAMBDA_GRID",
-    "SignChangeError",
     "InconclusiveError",
     "cm_check_by_inversion",
     "cm_check_by_differences",
-    "sign_change_lemma_check",
     "hcm_check",
     "hcm_check_family",
     "hcm_product_rewrite",
@@ -50,10 +47,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 BATTERY_BLOCK = 1 << 15  # w-stencil points per f call of ``hcm_check``
-
-
-class SignChangeError(ValueError):
-    """The single-sign-change hypothesis of the lemma check is violated."""
+BATTERY_STEPS = (0.05, 0.2, 1.0)  # difference steps h, relative to x (or w)
 
 
 class InconclusiveError(RuntimeError):
@@ -155,9 +149,14 @@ def cm_check_by_inversion(p: FamilyParams, lambda_grid: ScanGrid | None = None,
 # CM via alternating finite differences
 # --------------------------------------------------------------------------
 
-def _stencil(xs: np.ndarray, order: int, steps) -> np.ndarray:
+def _stencil(xs: np.ndarray, order: int) -> np.ndarray:
     """Points x (1 + h j), shape (order + 1, steps, x): j leads."""
-    return xs * (1.0 + np.asarray(steps, float)[:, None] * np.arange(order + 1)[:, None, None])
+    return xs * (1.0 + np.array(BATTERY_STEPS)[:, None] * np.arange(order + 1)[:, None, None])
+
+
+def _require_order(order: int):
+    if order < 1:
+        raise ValueError(f"difference order must be >= 1, got {order}")
 
 
 def _diff_battery_min(vals: np.ndarray):
@@ -180,85 +179,28 @@ def _diff_battery_min(vals: np.ndarray):
 
 
 def cm_check_by_differences(f, grid: ScanGrid | None = None, order: int = 8,
-                            steps=(0.05, 0.2, 1.0), tol: float = 1e-9) -> Verdict:
-    """Necessary-condition battery (-1)^k Delta_h^k f(x) >= 0, k <= order.
+                            tol: float = 1e-9) -> Verdict:
+    """Necessary-condition battery (-1)^k Delta_h^k f(x) >= 0, 1 <= k <= order.
 
-    ``steps`` are step sizes relative to x (h = step * x).  f gets one call
-    on a 1-d float array, the whole stencil of len(steps) * grid.n *
+    The steps are ``BATTERY_STEPS`` relative to x (h = step * x).  f gets
+    one call on a 1-d float array, the whole stencil of 3 * grid.n *
     (order + 1) points; the battery then needs about 100 bytes per point.
     Roundoff in the alternating sums grows like 2^order * eps, so order 8
     leaves the default tolerance two decades of headroom.
     """
+    _require_order(order)
     if grid is None:
         grid = ScanGrid(0.01, 20.0, 40)
     xs = grid.points()
-    points = _stencil(xs, order, steps)
+    points = _stencil(xs, order)
     worst, (s, k, i) = _diff_battery_min(f(points.ravel()).reshape(points.shape))
     if worst >= -tol:
         return Verdict(PASS, tol, detail=(
             f"min normalized difference {worst:.3e} over {grid}, order <= {order}, "
-            f"steps {tuple(steps)}; evidence, not proof"))
-    x, hrel = float(xs[i]), float(steps[s])
+            f"steps {BATTERY_STEPS}; evidence, not proof"))
+    x, hrel = float(xs[i]), BATTERY_STEPS[s]
     return Verdict(FAIL, tol, witness=(x, worst),
                    detail=f"(-1)^k Delta^k f < 0 at x = {x:.6g}, h = {hrel:.3g} x, k = {k + 1}")
-
-
-# --------------------------------------------------------------------------
-# The sign-change lemma
-# --------------------------------------------------------------------------
-
-def sign_change_lemma_check(h, x0_bracket, q: QuadratureSpec = DEFAULT_QUAD,
-                            tol: float = 1e-6) -> Verdict:
-    """Check both the hypothesis and the conclusion of the sign-change lemma.
-
-    Hypothesis: h has exactly one sign change x0 inside the bracket
-    (negative before, positive after), scanned on 400 geometric points.
-    Conclusion: if the total integral of h is <= 0 then every
-    e^{-lam x}-weighted integral is <= 0, checked at 9 geometric lam in
-    [1e-2, 1e2].  Raises SignChangeError when the scan finds more than one
-    change.
-    """
-    lo, hi = x0_bracket
-    if not 0.0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    xs = np.geomspace(lo, hi, 400)
-    vals = np.array([h(x) for x in xs])
-    signs = np.sign(vals)
-    signs[signs == 0.0] = 1.0
-    flips = np.nonzero(np.diff(signs))[0]
-    if len(flips) != 1:
-        raise SignChangeError(f"expected exactly one sign change in scan, found {len(flips)}")
-    a, b = xs[flips[0]], xs[flips[0] + 1]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if np.sign(h(mid)) == np.sign(h(a)):
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-12 * b:
-            break
-    x0 = 0.5 * (a + b)
-    if h(0.5 * x0) >= 0.0 or h(2.0 * hi) <= 0.0:
-        raise SignChangeError("sign pattern is not negative-then-positive")
-
-    split = lambda w: quad_checked(w, 0.0, x0, q)[0] + quad_checked(w, x0, np.inf, q)[0]
-    total = split(h)
-    lams = np.geomspace(1e-2, 1e2, 9)
-    offenders = []
-    for lam in lams:
-        v = split(lambda x: h(x) * math.exp(-lam * x))
-        if v > tol:
-            offenders.append((float(lam), float(v)))
-    if total > tol:
-        return Verdict(FAIL, tol, witness=(0.0, float(total)),
-                       detail=f"total integral {total:.3e} > {tol:.1e}")
-    if offenders:
-        lam, v = offenders[0]
-        return Verdict(FAIL, tol, witness=(lam, v),
-                       detail=f"weighted integral positive at lam = {lam:.4g}")
-    return Verdict(PASS, tol, detail=(
-        f"single sign change at x0 = {x0:.6g}; total integral {total:.3e} <= {tol:.1e}; "
-        f"all {lams.size} weighted integrals <= {tol:.1e}"))
 
 
 # --------------------------------------------------------------------------
@@ -270,17 +212,17 @@ def _v_of_w(w):
 
 
 @functools.lru_cache(maxsize=8)
-def _battery_grids(u_grid: ScanGrid, w_grid: ScanGrid, order: int, steps: tuple):
+def _battery_grids(u_grid: ScanGrid, w_grid: ScanGrid, order: int):
     """u and w points and the w stencil, shape (order + 1, 1, steps, w); read-only, shared."""
     if w_grid.lo <= 2.0:
         raise ValueError("w grid must start above 2")
     us, ws = u_grid.points(), w_grid.points()
-    w = _stencil(ws, order, steps)[:, None]
+    w = _stencil(ws, order)[:, None]
     us.flags.writeable = ws.flags.writeable = w.flags.writeable = False
     return us, ws, w
 
 
-def _hcm_battery(product, u_grid, w_grid, order, steps, tol) -> Verdict:
+def _hcm_battery(product, u_grid, w_grid, order, tol) -> Verdict:
     """CM-in-w battery of product(u, w) = f(uv) f(u/v), one call per block of u.
 
     ``product`` gets a block of u, shape (u, 1, 1), and the w stencil, shape
@@ -288,13 +230,13 @@ def _hcm_battery(product, u_grid, w_grid, order, steps, tol) -> Verdict:
     a block is as many u as fit ``BATTERY_BLOCK`` table entries, at least one.
     """
     u_grid, w_grid = u_grid or ScanGrid(1e-4, 1.0, 17), w_grid or ScanGrid(2.01, 200.0, 25)
-    us, ws, w = _battery_grids(u_grid, w_grid, order, tuple(steps))
+    us, ws, w = _battery_grids(u_grid, w_grid, order)
     per_block = max(1, BATTERY_BLOCK // w.size)
     worst, warg = math.inf, None
     for lo in range(0, us.size, per_block):
         m, (iu, s, k, i) = _diff_battery_min(product(us[lo:lo + per_block, None, None], w))
         if m < worst:
-            worst, warg = m, (float(us[lo + iu]), float(ws[i]), float(steps[s]), k + 1)
+            worst, warg = m, (float(us[lo + iu]), float(ws[i]), BATTERY_STEPS[s], k + 1)
     if worst >= -tol:
         return Verdict(PASS, tol, detail=(
             f"min normalized w-difference {worst:.3e} over u in {u_grid}, w in {w_grid}, "
@@ -305,7 +247,7 @@ def _hcm_battery(product, u_grid, w_grid, order, steps, tol) -> Verdict:
 
 
 def hcm_check(f, u_grid: ScanGrid | None = None, w_grid: ScanGrid | None = None,
-              order: int = 8, steps=(0.05, 0.2, 1.0), tol: float = 1e-9) -> Verdict:
+              order: int = 8, tol: float = 1e-9) -> Verdict:
     """Black-box HCM battery: CM-in-w test of f(uv) f(u/v) for each u.
 
     ``f`` must accept 1-d float arrays of positive reals; it gets one call
@@ -319,18 +261,20 @@ def hcm_check(f, u_grid: ScanGrid | None = None, w_grid: ScanGrid | None = None,
     exponentially weak failures just past the family's HCM boundary (use
     ``hcm_check_family`` for those).
     """
+    _require_order(order)
+
     def product(u, w):
         v = _v_of_w(w)
         x = np.stack([u * v, u / v])  # (2, order + 1, u, steps, w)
         fx = f(x.ravel()).reshape(x.shape)
         return fx[0] * fx[1]
 
-    return _hcm_battery(product, u_grid, w_grid, order, steps, tol)
+    return _hcm_battery(product, u_grid, w_grid, order, tol)
 
 
 def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
                      w_grid: ScanGrid | None = None, order: int = 8,
-                     steps=(0.05, 0.2, 1.0), tol: float = 1e-9) -> Verdict:
+                     tol: float = 1e-9) -> Verdict:
     """HCM verdict for the two-parameter family, all obstructions armed.
 
     Failure routes, in order of robustness:
@@ -348,7 +292,9 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
     Routes 1 and 2 are the analytic obstructions; they certify failures
     the battery cannot see numerically.  At t = 0, f is the positive
     constant 1/(2 + 2 cos(pi alpha)): an exact PASS, without the battery.
+    An order below 1 is a ValueError at any (alpha, t).
     """
+    _require_order(order)
     poles = pole_locations(p)
     if poles:
         z = poles[0]
@@ -364,7 +310,7 @@ def hcm_check_family(p: FamilyParams, u_grid: ScanGrid | None = None,
             f"f increasing from f(0+) = 1: f - 1 = cot^2(pi alpha) = {rise:.6e} at "
             f"x^t = {y:.6g} (log x = {math.log(y) / p.t:.6g}); not CM, hence not HCM"))
     return _hcm_battery(lambda u, w: hcm_product_rewrite(p, u, w),
-                        u_grid, w_grid, order, steps, tol)
+                        u_grid, w_grid, order, tol)
 
 
 def hcm_product_rewrite(p: FamilyParams, u, w):
@@ -412,11 +358,16 @@ def estimate_critical_t(alpha: float, bisect_tol: float = 0.01,
     carries a PASS and t_hi a FAIL.  Ambiguous verdicts (minimum within a factor 4 of the
     threshold) are retried on a 4x refined grid and resolved toward FAIL.
     The search is deterministic, so halving bisect_tol reproduces the same
-    leading probes and yields a nested bracket.  The bracket is numerical
+    leading probes and yields a nested bracket.  It also stops once t_lo and
+    t_hi are adjacent floats, where the midpoint rounds onto an end, so a
+    bisect_tol below the float spacing returns that bracket.  ValueError,
+    before any probe, unless bisect_tol > 0.  The bracket is numerical
     evidence about the open critical index, not its value.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
+    if not bisect_tol > 0.0:  # NaN too
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
     lambda_grid, tol = lambda_grid or DEFAULT_LAMBDA_GRID, 1e-9
 
     def predicate(t: float) -> bool:
@@ -447,6 +398,8 @@ def estimate_critical_t(alpha: float, bisect_tol: float = 0.01,
         raise InconclusiveError("expected FAIL at t = 1")
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if predicate(mid):
             lo = mid
         else:

@@ -12,16 +12,16 @@ Z = (a(theta)/E)^((1-alpha)/alpha) has the right law; it is validated
 against the defining Laplace transform rather than trusted.
 
 Reproducibility: every sampler derives its stream from (seed, fixed
-stream index) through numpy's SeedSequence/PCG64, so a SampleSet is
-regenerable bit-exactly from its recorded (seed, generator_id, n).
+stream index) through numpy's SeedSequence/PCG64, so the sampler that
+made a SampleSet regenerates it bit-exactly from its recorded
+(seed, generator_id, n).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,12 +58,11 @@ _STREAM_T = 3
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Positive samples plus everything needed to regenerate them."""
+    """Positive samples, with the seed and generator that regenerate them."""
 
     values: np.ndarray
     seed: int
     generator_id: str = GENERATOR_ID
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -74,24 +73,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def to_text(self, path):
-        """Newline-delimited decimals under a one-line JSON header."""
-        header = {"seed": int(self.seed), "generator_id": self.generator_id,
-                  "n": self.n, "params": self.params}
-        with open(path, "w") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for v in self.values:
-                fh.write(f"{v:.17g}\n")
-        return path
-
-    @classmethod
-    def from_text(cls, path) -> "SampleSet":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            vals = np.loadtxt(fh)
-        return cls(vals, seed=header["seed"], generator_id=header["generator_id"],
-                   params=header.get("params", {}))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -105,7 +86,7 @@ def sample_gamma(t: float, n: int, seed: int) -> SampleSet:
     g = _rng(seed, _STREAM_GAMMA)
     vals = g.standard_gamma(t, size=n)
     vals[vals <= 0.0] = np.finfo(float).tiny  # shape < 1 can underflow to 0
-    return SampleSet(vals, seed=seed, params={"dist": "gamma", "t": t})
+    return SampleSet(vals, seed=seed)
 
 
 def _log_sin_term(theta: np.ndarray, a: float) -> np.ndarray:
@@ -149,7 +130,7 @@ def sample_positive_stable(alpha: float, n: int, seed: int) -> SampleSet:
         raise ValueError("need alpha in (0,1) and n >= 1")
     g = _rng(seed, _STREAM_STABLE)
     vals = _stable_from(g, alpha, n)
-    return SampleSet(vals, seed=seed, params={"dist": "positive_stable", "alpha": alpha})
+    return SampleSet(vals, seed=seed)
 
 
 def sample_T_alpha(alpha: float, n: int, seed: int) -> SampleSet:
@@ -163,7 +144,7 @@ def sample_T_alpha(alpha: float, n: int, seed: int) -> SampleSet:
     vals -= np.log(z2, out=z2)
     vals *= alpha
     np.exp(vals, out=vals)
-    return SampleSet(vals, seed=seed, params={"dist": "T_alpha", "alpha": alpha})
+    return SampleSet(vals, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +236,10 @@ def verify_T_density(alpha: float, sample_n: int = 100_000, seed: int = 42) -> K
 
 def verify_stable_laplace(alpha: float, sample_n: int = 100_000, seed: int = 42) -> Verdict:
     """Empirical Laplace transform of Z against exp(-lam^alpha) at lam = 1/4, 1
-    and 4; PASS iff every deviation is within 4 standard errors."""
+    and 4; PASS iff every deviation is within 4 standard errors.  ValueError
+    unless sample_n >= 2, the least that gives a standard error."""
+    if not sample_n >= 2:
+        raise ValueError(f"sample_n must be >= 2 for a standard error, got {sample_n}")
     s = sample_positive_stable(alpha, sample_n, seed)
     worst = None
     for lam in (0.25, 1.0, 4.0):

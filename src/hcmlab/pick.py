@@ -53,6 +53,8 @@ class HalfPlaneScan:
         lo, hi = self.re_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("re_range must be a finite increasing pair")
+        if self.n_per_level < 1:
+            raise ValueError(f"n_per_level must be >= 1, got {self.n_per_level}")
 
 
 DEFAULT_SCAN = HalfPlaneScan()

@@ -5,10 +5,11 @@ adaptive Gauss-Kronrod panel rule (QUADPACK's G10/K21 pair on every active
 panel at once, many integrals in one call by a group index) carries the
 Bromwich head, the branch-cut integral and, after a double-exponential
 change of variable that absorbs endpoint singularities and an infinite
-range, ``tanh_sinh`` and ``quad_checked`` (its scalar-integrand form).  A
-tail rule takes semi-infinite Fourier-type integrals, rotated onto the ray
-where the oscillation decays (147 fixed G10/K21 nodes), for arrays of
-frequency and start.
+range, ``tanh_sinh``.  A tail rule takes semi-infinite Fourier-type
+integrals, rotated onto the ray where the oscillation decays (147 fixed
+G10/K21 nodes), for arrays of frequency and start.  ``quad_checked``, the
+scalar-integrand form of ``tanh_sinh``, has no caller in the package; the
+benchmark in perfbench/ traces it by name.
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ def _de_rule(name, f, a, b, spec):
 
 def quad_checked(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
     """int_a^b f(x) dx by ``_de_rule`` for a scalar ``f``, called once a node with a float.
+
+    No module of the package calls it; perfbench/tracing.py wraps it by name.
 
     NaN where f raises OverflowError.  An end raises as left out for a tail
     too slow for x up to ~1e275, a singularity at a nonzero end (place it at

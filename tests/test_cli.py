@@ -94,6 +94,20 @@ class TestExitCodes:
                           "--alpha", "0.1", "--x", x)
         assert code == EX_USAGE
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,quantity", [
+        (["critical-t", "--alpha", "0.3", "--bisect-tol", "0"], "bisect_tol"),
+        (["mc-verify", "--check", "stable-laplace", "--n", "1"], "sample_n"),
+        (["hcm-check", "--alpha", "0.2", "--t", "0.5", "--order", "0"], "order"),
+        (["hcm-check", "--alpha", "0.2", "--t", "0.9", "--order", "0"], "order"),  # a pole FAIL
+        (["pick-scan", "--alpha", "0.2", "--t", "0.5", "--n-per-level", "0"], "n_per_level"),
+    ], ids=["bisect-tol", "stable-laplace-n", "order", "order-past-poles", "n-per-level"])
+    def test_out_of_range_option_is_usage(self, capsys, argv, quantity):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EX_USAGE and out == ""
+        assert err.startswith("error: ") and quantity in err
+
     def test_head_panel_cap_is_inconclusive(self, capsys):
         code, rep = run_cli(capsys, "invert", "--alpha", "0.3", "--t", "0.5",
                             "--lambda", "1e8", "--c", "1e-6")

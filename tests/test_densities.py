@@ -7,12 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from hcmlab.densities import (DensitySpec, HcmProductForm, cdf_T_alpha,
-                              density_sqrt_Z_one_third, density_sqrt_gamma_product,
-                              density_T_alpha, eval_hcm_product_form,
-                              mellin_gamma_mixture_ratio, mellin_T_alpha)
-from hcmlab.monotone import ScanGrid, cm_check_by_differences
-from hcmlab.quadrature import ConvergenceError
+from hcmlab.densities import (cdf_T_alpha, density_sqrt_Z_one_third,
+                              density_sqrt_gamma_product, density_T_alpha, mellin_T_alpha)
+from hcmlab.monotone import hcm_check
 from tests_support_mellin import mellin_by_quadrature
 
 
@@ -92,14 +89,6 @@ class TestMellinT:
         with pytest.raises(ValueError):
             mellin_T_alpha(1.0, 0.3)
 
-    def test_gamma_mixture_ratio_consistency(self):
-        # ratio(s; alpha, t) * Gamma(t+s)/Gamma(t) == E[T^(s/t)]
-        from hcmlab.specfun import log_gamma
-        alpha, t, s = 0.3, 0.7, 0.2
-        lhs = mellin_gamma_mixture_ratio(s, alpha, t)
-        corr = np.exp(log_gamma(t + s) - log_gamma(t)).real
-        assert lhs * corr == pytest.approx(mellin_T_alpha(s / t, alpha), rel=1e-12)
-
 
 class TestSqrtGammaProduct:
     def test_integrates_to_one_unit_shapes(self):
@@ -157,91 +146,13 @@ class TestSqrtZOneThird:
 
 
 class TestHcmProductForm:
-    def test_prototype(self):
-        form = HcmProductForm(c=1.0, a=0.0, factors=[(1.0, 1.0)])
-        assert eval_hcm_product_form(form, 4.0) == pytest.approx(0.2)
-
-    def test_squared_factor_limit_at_zero(self):
-        form = HcmProductForm(c=1.0, a=0.0, factors=[(1.0, 2.0)])
-        assert eval_hcm_product_form(form, 1e-12) == pytest.approx(1.0, rel=1e-10)
-
-    def test_bare_power(self):
-        form = HcmProductForm(c=2.0, a=1.0)
-        assert eval_hcm_product_form(form, 3.0) == pytest.approx(6.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HcmProductForm(c=-1.0, a=0.0)
-        with pytest.raises(ValueError):
-            HcmProductForm(c=1.0, a=0.0, factors=[(0.0, 1.0)])
-        with pytest.raises(ValueError):
-            eval_hcm_product_form(HcmProductForm(c=1.0, a=0.0), -2.0)
-
     @pytest.mark.parametrize("form", [
-        HcmProductForm(c=1.0, a=0.0, factors=[(1.0, 1.0)]),
-        HcmProductForm(c=2.0, a=-0.5, factors=[(0.5, 1.5), (3.0, 0.7)]),
+        (1.0, 0.0, ((1.0, 1.0),)),
+        (2.0, -0.5, ((0.5, 1.5), (3.0, 0.7))),
     ])
     def test_product_forms_pass_hcm_battery(self, form):
-        # f(uv) f(u/v) must be CM in w for these by construction
-        for u in (0.5, 1.0, 2.0):
-            def g_u(w):
-                w = np.asarray(w, dtype=float)
-                v = 0.5 * (w + np.sqrt(w * w - 4.0))
-                return (eval_hcm_product_form(form, u * v)
-                        * eval_hcm_product_form(form, u / v))
-            verdict = cm_check_by_differences(g_u, ScanGrid(2.01, 100.0, 15), order=6)
-            assert verdict.passed, verdict.detail
-
-
-class TestDensitySpec:
-    @pytest.mark.parametrize("spec", [
-        DensitySpec("T_alpha", (0.3,)),
-        DensitySpec("gamma", (0.5,)),
-        DensitySpec("sqrt_gamma_product", (1.0, 1.0)),
-        DensitySpec("sqrt_Z_one_third"),
-        DensitySpec("f_family_normalized", (0.3, 0.75)),
-    ])
-    def test_mass_is_one(self, spec):
-        assert spec.mass() == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("t", [0.501, 0.51, 0.55, 0.75, 2.0, 3.0])
-    def test_f_family_normalization_closed_form(self, t):
-        # int_0^inf dx / (x^2t + 2 cos(pi a) x^t + 1)
-        #   = (pi/t) sin((1 - 1/t) pi a) / (sin(pi/t) sin(pi a)); f(1) = 1 / (2 + 2 cos(pi a))
-        a = 0.3
-        norm = (math.pi / t) * math.sin((1.0 - 1.0 / t) * math.pi * a) / (
-            math.sin(math.pi / t) * math.sin(math.pi * a))
-        got = DensitySpec("f_family_normalized", (a, t)).pdf(1.0)
-        assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * norm), rel=1e-12)
-
-    @pytest.mark.parametrize("a", [0.0, 0.3])
-    def test_f_family_normalization_at_t1(self, a):
-        # int_0^inf dx / (x^2 + 2 cos(phi) x + 1) = phi / sin(phi), phi = pi a (1 at a = 0)
-        norm = math.pi * a / math.sin(math.pi * a) if a else 1.0
-        got = DensitySpec("f_family_normalized", (a, 1.0)).pdf(1.0)
-        assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * norm), rel=1e-14)
-
-    def test_f_family_normalization_mpmath(self):
-        # y = x^t: (1/t) int_0^inf y^(1/t - 1) / (y^2 + 2 cos(pi a) y + 1) dy
-        a, t = 0.7, 0.8
-        with mpmath.workdps(30):
-            norm = mpmath.quad(lambda y: y ** (1 / mpmath.mpf(t) - 1)
-                               / (y * y + 2 * mpmath.cospi(a) * y + 1), [0, 1, mpmath.inf]) / t
-        got = DensitySpec("f_family_normalized", (a, t)).pdf(1.0)
-        assert got == pytest.approx(1.0 / ((2.0 + 2.0 * math.cos(math.pi * a)) * float(norm)),
-                                    rel=1e-13)
-
-    @pytest.mark.parametrize("params", [(0.3, 0.5), (1.0, 0.75)])
-    def test_f_family_infinite_mass(self, params):
-        with pytest.raises(ValueError):
-            DensitySpec("f_family_normalized", params).pdf(1.0)
-
-    @pytest.mark.parametrize("t", [0.501, 0.51])
-    def test_mass_with_tail_beyond_reach_raises(self, t):
-        # the tail x^-2t left past x ~ 1e275 is 3e-6 (t = 0.51) to 28% (t = 0.501) of the mass
-        with pytest.raises(ConvergenceError, match="left out"):
-            DensitySpec("f_family_normalized", (0.3, t)).mass()
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DensitySpec("cauchy", ())
+        # c x^a prod (1 + c_i x)^(-b_i) is HCM by construction
+        c, a, factors = form
+        f = lambda x: c * x ** a * math.prod((1.0 + ci * x) ** -bi for ci, bi in factors)
+        verdict = hcm_check(f)
+        assert verdict.passed, verdict.detail

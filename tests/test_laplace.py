@@ -11,31 +11,20 @@ import hcmlab.laplace
 from hcmlab.laplace import (MAX_HEAD_PANELS, InversionResult, branch_cut_invert,
                             branch_cut_kernel, bromwich_invert, closed_form_inverse_t1,
                             default_abscissa, invert_grid, kernel_sign_change,
-                            kernel_total_integral, laplace_forward)
+                            kernel_total_integral)
 from hcmlab.monotone import DEFAULT_LAMBDA_GRID, ScanGrid, cm_check_by_inversion
-from hcmlab.quadrature import TAIL_PANELS, ConvergenceError, QuadratureSpec, oscillatory_tail
+from hcmlab.quadrature import (TAIL_PANELS, ConvergenceError, QuadratureSpec, oscillatory_tail,
+                               quad_checked)
 from hcmlab.specfun import FamilyParams, f_family, f_family_prime
 
 
 class TestLaplaceForward:
-    def test_constant(self):
-        assert laplace_forward(lambda lam: 1.0, 2.0) == pytest.approx(0.5, abs=1e-10)
-
     def test_prop8_density_reproduces_f(self):
         # forward transform of e^{-lam a} sin(lam b)/b equals f_(1/3,1)
         alpha = 1.0 / 3.0
-        g = lambda lam: closed_form_inverse_t1(lam, alpha)
-        got = laplace_forward(g, 1.0)
+        g = lambda lam: math.exp(-lam) * closed_form_inverse_t1(lam, alpha)
+        got = quad_checked(g, 0.0, np.inf)[0]
         assert got == pytest.approx(1.0 / 3.0, abs=1e-9)
-
-    def test_gamma_half(self):
-        from hcmlab.densities import density_gamma
-        got = laplace_forward(lambda lam: density_gamma(lam, 0.5), 3.0)
-        assert got == pytest.approx(0.5, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            laplace_forward(lambda lam: 1.0, 0.0)
 
 
 class TestBromwich:
@@ -503,8 +492,8 @@ class TestInvertGrid:
         p = FamilyParams.from_eps(0.3, 0.05)
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
         for x in (0.5, 1.0, 2.0):
-            got = laplace_forward(lambda lam: branch_cut_invert(lam, p, spec), x,
-                                  QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))
+            got = quad_checked(lambda lam: math.exp(-x * lam) * branch_cut_invert(lam, p, spec),
+                               0.0, np.inf, QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))[0]
             assert got == pytest.approx(f_family(x, p).real, abs=1e-5)
 
     def test_grid_result_fields(self):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 import hcmlab.laplace
 import hcmlab.monotone
-from hcmlab.monotone import (ScanGrid, SignChangeError, Verdict,
-                             cm_check_by_differences, cm_check_by_inversion,
-                             estimate_critical_t, hcm_check, hcm_check_family,
-                             hcm_product_rewrite, sign_change_lemma_check)
-from hcmlab.laplace import branch_cut_kernel
+from hcmlab.monotone import (ScanGrid, Verdict, cm_check_by_differences,
+                             cm_check_by_inversion, estimate_critical_t, hcm_check,
+                             hcm_check_family, hcm_product_rewrite)
+from hcmlab.laplace import branch_cut_invert
 from hcmlab.cli import main
 from hcmlab.specfun import FamilyParams, f_family
 
@@ -152,24 +151,9 @@ class TestCheckerConsistency:
 
 class TestSignChangeLemma:
     def test_branch_cut_kernel_passes(self):
-        p = FamilyParams(0.2, 0.7)
-        v = sign_change_lemma_check(lambda x: branch_cut_kernel(x, p), (1e-2, 1e2))
-        assert v.passed, v.detail
-
-    def test_shifted_exponential(self):
-        # h(x) = (x-1) e^{-x}: total integral 0; weighted ones are
-        # -lam/(1+lam)^2 <= 0 (elementary antiderivative oracle)
-        v = sign_change_lemma_check(lambda x: (x - 1.0) * math.exp(-x), (0.1, 10.0))
-        assert v.passed, v.detail
-        for lam in (0.5, 2.0):
-            from scipy.integrate import quad
-            got, _ = quad(lambda x: (x - 1.0) * math.exp(-(1.0 + lam) * x), 0.0, 60.0)
-            assert got == pytest.approx(-lam / (1.0 + lam) ** 2, abs=1e-12)
-
-    def test_two_sign_changes_rejected(self):
-        h = lambda x: math.sin(x) if x < 3.0 * math.pi else 0.0
-        with pytest.raises(SignChangeError):
-            sign_change_lemma_check(h, (0.5, 20.0))
+        # the lemma's conclusion for the kernel: every e^{-lam x}-weighted integral
+        # -pi g(lam) is <= 0 (its single sign change and zero total: test_laplace)
+        assert np.all(branch_cut_invert(np.geomspace(1e-2, 1e2, 9), FamilyParams(0.2, 0.7)) >= 0)
 
 
 class TestHcmCheck:
@@ -313,6 +297,20 @@ class TestCriticalT:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             estimate_critical_t(0.7)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bisect_tol_must_be_positive(self, tol):
+        probes = []
+        with pytest.raises(ValueError, match="bisect_tol must be positive"):
+            estimate_critical_t(0.3, tol, on_probe=lambda t, v: probes.append(t))
+        assert probes == []
+
+    def test_tol_below_float_spacing_ends_at_adjacent_floats(self):
+        grid = ScanGrid(0.05, 50.0, 10)
+        lo, hi = estimate_critical_t(0.3, 1e-17, grid)
+        assert hi == np.nextafter(lo, 2)
+        a, b = estimate_critical_t(0.3, 1e-3, grid)
+        assert a <= lo < hi <= b
 
 
 # --------------------------------------------------------------------------
@@ -508,12 +506,6 @@ class TestBatteryCalls:
         assert all(_same(hcm_check_family(p), v) for p, v in zip(ps, whole))
         assert shapes == ([(9, 2, 3, 25)] * 8 + [(9, 1, 3, 25)]) * 2
 
-    def test_steps_as_list(self):
-        f = f_real(FamilyParams(0.3, 1.0))
-        assert _same(hcm_check(f, steps=[0.05, 0.2, 1.0]), hcm_check(f))
-        p = FamilyParams(0.3, 0.6)
-        assert _same(hcm_check_family(p, steps=[0.05, 0.2, 1.0]), hcm_check_family(p))
-
 
 def _family_battery_min(monkeypatch, p):
     """The battery minimum over hcm_check_family's closed-form table, and its verdict."""
@@ -550,7 +542,7 @@ class TestRealEvaluator:
             # these fail before the battery; the closed-form and complex batteries still agree
             p = FamilyParams(alpha, t)
             closed = hcmlab.monotone._hcm_battery(lambda u, w: hcm_product_rewrite(p, u, w),
-                                                  None, None, 8, (0.05, 0.2, 1.0), 1e-9)
+                                                  None, None, 8, 1e-9)
             assert closed.status == hcm_check(f_real(p)).status, (alpha, t)
 
 

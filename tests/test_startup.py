@@ -1,9 +1,9 @@
 """Start-up guard: scipy never loads, and no package module imports scipy or mpmath.
 
-``import hcmlab``, every subcommand and the scalar-quadrature paths (the
-forward transform, the density normalizations and the sign-change lemma)
-run on numpy alone, and no module of the package imports scipy; its
-import would be most of a cold CLI process.
+``import hcmlab``, every subcommand and the double-exponential quadrature
+(``quad_checked`` and ``tanh_sinh`` on a forward transform and on the
+densities' masses) run on numpy alone, and no module of the package imports
+scipy; its import would be most of a cold CLI process.
 Each run case uses a fresh interpreter, and the assertions are on
 ``sys.modules``, not on times.
 """
@@ -31,12 +31,17 @@ sys.stdout.write("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules
 
 _LIBRARY_CHILD = """\
 import json, math, sys
-from hcmlab import DensitySpec, laplace_forward, sign_change_lemma_check
-kinds = [("T_alpha", (0.3,)), ("gamma", (0.5,)), ("sqrt_gamma_product", (1.0, 1.0)),
-         ("sqrt_Z_one_third", ()), ("f_family_normalized", (0.3, 0.75))]
-out = {"forward": laplace_forward(lambda lam: 1.0, 2.0),
-       "masses": [DensitySpec(kind, params).mass() for kind, params in kinds],
-       "lemma": sign_change_lemma_check(lambda x: (x - 1.0) * math.exp(-x), (0.1, 10.0)).passed,
+import numpy as np
+from hcmlab import (FamilyParams, branch_cut_invert, density_T_alpha, density_sqrt_Z_one_third,
+                    density_sqrt_gamma_product)
+from hcmlab.quadrature import quad_checked, tanh_sinh
+densities = [lambda x: density_T_alpha(x, 0.3), lambda x: density_sqrt_gamma_product(x, 1.0, 1.0),
+             density_sqrt_Z_one_third]
+gamma_half = lambda x: math.exp(-x) / math.sqrt(math.pi * x)
+out = {"forward": quad_checked(lambda lam: math.exp(-2.0 * lam), 0.0, math.inf)[0],
+       "masses": [quad_checked(gamma_half, 0.0, math.inf)[0], quad_checked(densities[0], 0.0, math.inf)[0]]
+                 + [tanh_sinh(f, 0.0, math.inf) for f in densities],
+       "lemma": bool(np.all(branch_cut_invert(np.geomspace(1e-2, 1e2, 9), FamilyParams(0.2, 0.7)) >= 0)),
        "modules": sorted(sys.modules)}
 sys.stdout.write(json.dumps(out) + "\\n")
 """
