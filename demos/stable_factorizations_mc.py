@@ -41,9 +41,9 @@ for (t, s) in ((1.0, 1.0), (1.0 / 3.0, 2.0 / 3.0)):
           f"-> {'PASS' if r.passed else 'FAIL'}")
 
 print("\nsample moments vs the stable Mellin formula (alpha = 0.4, s = 0.1):")
+import math
 import numpy as np
-from hcmlab import log_gamma
 z = sample_positive_stable(0.4, N, seed=SEED)
 w = z.values ** 0.1
-ref = float(np.exp(log_gamma(1.0 - 0.1 / 0.4) - log_gamma(1.0 - 0.1)).real)
+ref = math.exp(math.lgamma(1.0 - 0.1 / 0.4) - math.lgamma(1.0 - 0.1))
 print(f"  sample {w.mean():.6f} +- {w.std(ddof=1) / np.sqrt(N):.6f}, exact {ref:.6f}")

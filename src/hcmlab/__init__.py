@@ -8,7 +8,7 @@ Pick/GGC half-plane criterion, Monte Carlo verification of the stable-law
 factorizations, and a CLI front end (``hcmlab``) with JSON/CSV output.
 """
 
-from .specfun import FamilyParams, bessel_k, f_family, log_gamma, p_alpha, pole_locations
+from .specfun import FamilyParams, bessel_k, f_family, p_alpha, pole_locations
 from .densities import (cdf_T_alpha, density_T_alpha, density_sqrt_Z_one_third,
                         density_sqrt_gamma_product, mellin_T_alpha)
 from .quadrature import ConvergenceError, QuadratureSpec, tanh_sinh

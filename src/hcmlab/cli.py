@@ -335,6 +335,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EX_USAGE
+    if not getattr(args, "tol", 0.0) >= 0.0:  # NaN too; below 0, a positive value would FAIL
+        sys.stderr.write(f"error: --tol must be >= 0, got {args.tol}\n")
+        return EX_USAGE
     params = {k: _jsonable(v) for k, v in vars(args).items() if k != "cmd"}
     report = RunReport(command=args.cmd, params=params)
     start = time.perf_counter()

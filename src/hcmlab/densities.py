@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .specfun import bessel_k, log_gamma
+from .specfun import bessel_k
 
 __all__ = [
     "density_T_alpha",
@@ -73,9 +73,8 @@ def mellin_T_alpha(s: float, alpha: float) -> float:
     _check_alpha(alpha)
     if abs(s) >= 1.0:
         raise ValueError("mellin_T_alpha diverges for |s| >= 1")
-    val = (log_gamma(1.0 - s) + log_gamma(1.0 + s)
-           - log_gamma(1.0 - alpha * s) - log_gamma(1.0 + alpha * s))
-    return float(np.exp(val).real)
+    return math.exp(math.lgamma(1.0 - s) + math.lgamma(1.0 + s)
+                    - math.lgamma(1.0 - alpha * s) - math.lgamma(1.0 + alpha * s))
 
 
 def density_sqrt_gamma_product(x, t: float, s: float):
@@ -87,7 +86,7 @@ def density_sqrt_gamma_product(x, t: float, s: float):
     if t <= 0.0 or s <= 0.0:
         raise ValueError("shapes must be positive")
     x = _positive(x, "density_sqrt_gamma_product")
-    lognorm = (log_gamma(t) + log_gamma(s)).real
+    lognorm = math.lgamma(t) + math.lgamma(s)
     logx = np.log(x)
     k = np.asarray(bessel_k(t - s, 2.0 * x))
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
@@ -96,7 +95,7 @@ def density_sqrt_gamma_product(x, t: float, s: float):
         redo = ~((np.minimum(power, out) >= np.finfo(float).tiny) & (out < np.inf))
         if redo.any():
             nu = abs(t - s)
-            lead = math.log(2.0) + (log_gamma(nu).real if nu else 0.0) + (t + s - 1.0 - nu) * logx
+            lead = math.log(2.0) + (math.lgamma(nu) if nu else 0.0) + (t + s - 1.0 - nu) * logx
             logd = np.where(np.isinf(k), lead, math.log(4.0) + np.log(k) + (t + s - 1.0) * logx)
             out = np.where(redo, np.exp(logd - lognorm), out)
     return float(out) if out.ndim == 0 else out

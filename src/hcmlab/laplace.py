@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (DEFAULT_QUAD, TAIL_NODES, TAIL_PANELS, ConvergenceError, QuadratureSpec,
+from .quadrature import (DEFAULT_QUAD, TAIL_NODES, TAIL_PANELS, ConvergenceError,
                          gauss_kronrod_panels, oscillatory_tail)
 from .specfun import FamilyParams, f_family_prime, p_alpha, pole_locations
 
@@ -60,11 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class InversionResult:
-    """g = L^{-1} f sampled on a lambda grid, with the method used."""
+    """g = L^{-1} f sampled on a lambda grid, with the route's error estimate."""
 
     lambdas: np.ndarray
     values: np.ndarray
-    method: str
     est_error: float
 
     def __post_init__(self):
@@ -101,9 +100,7 @@ MAX_HEAD_PANELS = 20_000
 
 
 def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
-                    c: float | np.ndarray | None = None,
-                    spec: QuadratureSpec = DEFAULT_QUAD,
-                    return_err: bool = False):
+                    c: float | np.ndarray | None = None, return_err: bool = False):
     """Inverse Laplace transform of f at lam > 0 along the line Re z = c.
 
     ``lam`` is a scalar or a 1-d array; an array gives arrays of g (and
@@ -123,7 +120,7 @@ def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
 
     Raises ValueError if a line does not clear the poles of the
     continuation, ConvergenceError if the head rule exhausts its bisection
-    budget (``spec.max_subdivisions``) at some lam, a head would need more
+    budget (``DEFAULT_QUAD.max_subdivisions``) at some lam, a head would need more
     than ``MAX_HEAD_PANELS`` panels, or e^{lam c} overflows; the last two
     are checked for the whole grid before any node is built.  With
     ``return_err`` returns (g, err), err being the head and tail estimates
@@ -168,7 +165,7 @@ def bromwich_invert(p: FamilyParams, lam: float | np.ndarray,
         base = used[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(used, base + MAX_HEAD_PANELS, side="right")))
         k = slice(lo, hi)
-        g[k], err[k] = _bromwich_chunk(p, lams[k], cs[k], m[k], y0[k], spec)
+        g[k], err[k] = _bromwich_chunk(p, lams[k], cs[k], m[k], y0[k])
         lo = hi
     g, err = -amp * g, amp * err
     if scalar:
@@ -223,7 +220,7 @@ def _head_panels(m, y0):
     return np.stack([j * step, b], axis=1), group
 
 
-def _bromwich_chunk(p, lams, cs, m, y0, spec):
+def _bromwich_chunk(p, lams, cs, m, y0):
     """Unscaled head + tail for a chunk of lam: (Re int, error estimate) per lam.
 
     The first head pass runs on the initial panels' own nodes, so on a hit it
@@ -258,7 +255,7 @@ def _bromwich_chunk(p, lams, cs, m, y0, spec):
             tail_log_z = np.log(z)
         return f_family_prime(z, p, tail_log_z)
 
-    head_val, head_err = gauss_kronrod_panels(head, panels, spec, group)
+    head_val, head_err = gauss_kronrod_panels(head, panels, DEFAULT_QUAD, group)
     # The tail's quarter plane is {Im z >= y0, Re z <= c} for phi(y) = f'(c + iy).  Every
     # pole has |z| = 1 and the cut lies on Im z = 0, while y0 = m pi/lam >= 4 for every lam
     # (m >= 4 lam/pi, m >= 1): f' is analytic there and decays, so the rotation is valid.
@@ -312,7 +309,7 @@ _X_MIN = 1e-16
 _LOG_X_MAX = math.log(np.finfo(float).max)
 
 
-def _cut_integrals(p: FamilyParams, lams: np.ndarray, log_upper: np.ndarray, spec):
+def _cut_integrals(p: FamilyParams, lams: np.ndarray, log_upper: np.ndarray):
     """int_{1e-16}^{e^log_upper} kernel(x) e^{-lam x} dx per lam, in one panel-rule call.
 
     Works in u = log x, integrand kernel(e^u) e^{-lam e^u} e^u, on unit
@@ -334,12 +331,11 @@ def _cut_integrals(p: FamilyParams, lams: np.ndarray, log_upper: np.ndarray, spe
         x = np.exp(u)
         return branch_cut_kernel(x, p) * np.exp(-lams[k] * x) * x
 
-    val, err = gauss_kronrod_panels(integrand, panels, spec, group)
+    val, err = gauss_kronrod_panels(integrand, panels, DEFAULT_QUAD, group)
     return val, err + _X_MIN
 
 
-def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams,
-                      spec: QuadratureSpec = DEFAULT_QUAD, return_err: bool = False):
+def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams, return_err: bool = False):
     """-(1/pi) int_0^inf kernel(x) e^{-lam x} dx; equals bromwich_invert.
 
     ``lam`` is a finite scalar or 1-d array, lam >= 0; an array gives arrays
@@ -373,7 +369,7 @@ def branch_cut_invert(lam: float | np.ndarray, p: FamilyParams,
     if zero.any():
         upper0 = _total_cutoff(p)
         log_upper[zero] = math.log(upper0)
-    val, err = _cut_integrals(p, lams, log_upper, spec)
+    val, err = _cut_integrals(p, lams, log_upper)
     if zero.any():
         tail, envelope = _series_tail(p, upper0)
         val[zero] += tail
@@ -412,13 +408,11 @@ def _series_tail(p: FamilyParams, upper: float):
     return tail, envelope
 
 
-def kernel_total_integral(p: FamilyParams, spec: QuadratureSpec = DEFAULT_QUAD,
-                          return_err: bool = False):
+def kernel_total_integral(p: FamilyParams) -> float:
     """int_0^inf kernel(x) dx = -pi branch_cut_invert(0), forced to be 0 by the contour argument.
 
-    Needs t > 1/2 (the tail decays like x^{-2t}); ``return_err`` adds pi times that call's err."""
-    g, err = branch_cut_invert(0.0, p, spec, return_err=True)
-    return (-math.pi * g, math.pi * err) if return_err else -math.pi * g
+    Needs t > 1/2 (the tail decays like x^{-2t})."""
+    return -math.pi * branch_cut_invert(0.0, p)
 
 
 def closed_form_inverse_t1(lam: float, alpha: float) -> float:
@@ -439,7 +433,7 @@ def closed_form_inverse_t1(lam: float, alpha: float) -> float:
 
 
 def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
-                c: float | None = None, spec: QuadratureSpec = DEFAULT_QUAD) -> InversionResult:
+                c: float | None = None) -> InversionResult:
     """Evaluate the inverse transform on a grid and report an error estimate.
 
     est_error is the maximum of the per-point quadrature estimates (both
@@ -451,10 +445,10 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
         if p.t != 1.0:
             raise ValueError("closed form available only at t = 1")
         vals = np.array([closed_form_inverse_t1(x, p.alpha) for x in lam])
-        return InversionResult(lam, vals, "closed_form", 0.0)
+        return InversionResult(lam, vals, 0.0)
     if method == "branch_cut":
-        vals, errs = branch_cut_invert(lam, p, spec, return_err=True)
-        return InversionResult(lam, vals, "branch_cut", float(np.max(errs)))
+        vals, errs = branch_cut_invert(lam, p, return_err=True)
+        return InversionResult(lam, vals, float(np.max(errs)))
     if method != "bromwich":
         raise ValueError(f"unknown method {method!r}")
     if np.any(~(lam > 0.0)):  # checked before default_abscissa divides by lam
@@ -464,7 +458,7 @@ def invert_grid(p: FamilyParams, lambdas, method: str = "bromwich",
     cs = default_abscissa(p, lam) if c is None else np.full_like(lam, c)
     ends = [0, -1]
     g, e = bromwich_invert(p, np.concatenate([lam, lam[ends]]),
-                           np.concatenate([cs, 1.3 * cs[ends]]), spec, return_err=True)
+                           np.concatenate([cs, 1.3 * cs[ends]]), return_err=True)
     n = lam.size
     err = max(float(np.max(e[:n])), float(np.max(np.abs(g[ends] - g[n:]))))
-    return InversionResult(lam, g[:n].copy(), "bromwich", err)  # a view would keep the ends
+    return InversionResult(lam, g[:n].copy(), err)  # a view would keep the ends

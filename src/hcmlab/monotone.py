@@ -94,8 +94,8 @@ class ScanGrid:
     def __post_init__(self):
         if self.spacing not in ("geometric", "linear"):
             raise ValueError(f"bad spacing {self.spacing!r}")
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:  # NaN too
+            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.spacing == "geometric" and self.lo <= 0.0:
             raise ValueError("geometric grid needs lo > 0")
         if self.n < 2:
@@ -108,6 +108,7 @@ class ScanGrid:
 
 
 DEFAULT_LAMBDA_GRID = ScanGrid(0.05, 50.0, 40)  # the CM predicate's lambda grid
+DIFF_GRID = ScanGrid(0.01, 20.0, 40)  # the x grid of ``cm_check_by_differences``
 
 # --------------------------------------------------------------------------
 # CM via numerical inversion
@@ -178,25 +179,20 @@ def _diff_battery_min(vals: np.ndarray):
     return float(table[i]), tuple(int(j) for j in i)
 
 
-def cm_check_by_differences(f, grid: ScanGrid | None = None, order: int = 8,
-                            tol: float = 1e-9) -> Verdict:
-    """Necessary-condition battery (-1)^k Delta_h^k f(x) >= 0, 1 <= k <= order.
+def cm_check_by_differences(f, tol: float = 1e-9) -> Verdict:
+    """Necessary-condition battery (-1)^k Delta_h^k f(x) >= 0, 1 <= k <= 8, on ``DIFF_GRID``.
 
     The steps are ``BATTERY_STEPS`` relative to x (h = step * x).  f gets
-    one call on a 1-d float array, the whole stencil of 3 * grid.n *
-    (order + 1) points; the battery then needs about 100 bytes per point.
-    Roundoff in the alternating sums grows like 2^order * eps, so order 8
-    leaves the default tolerance two decades of headroom.
+    one call on a 1-d float array, the whole stencil of 3 * 40 * 9 = 1080
+    points.  Roundoff in the alternating sums grows like 2^order * eps, so
+    order 8 leaves the default tolerance two decades of headroom.
     """
-    _require_order(order)
-    if grid is None:
-        grid = ScanGrid(0.01, 20.0, 40)
-    xs = grid.points()
-    points = _stencil(xs, order)
+    xs = DIFF_GRID.points()
+    points = _stencil(xs, 8)
     worst, (s, k, i) = _diff_battery_min(f(points.ravel()).reshape(points.shape))
     if worst >= -tol:
         return Verdict(PASS, tol, detail=(
-            f"min normalized difference {worst:.3e} over {grid}, order <= {order}, "
+            f"min normalized difference {worst:.3e} over {DIFF_GRID}, order <= 8, "
             f"steps {BATTERY_STEPS}; evidence, not proof"))
     x, hrel = float(xs[i]), BATTERY_STEPS[s]
     return Verdict(FAIL, tol, witness=(x, worst),

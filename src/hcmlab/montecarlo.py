@@ -12,9 +12,8 @@ Z = (a(theta)/E)^((1-alpha)/alpha) has the right law; it is validated
 against the defining Laplace transform rather than trusted.
 
 Reproducibility: every sampler derives its stream from (seed, fixed
-stream index) through numpy's SeedSequence/PCG64, so the sampler that
-made a SampleSet regenerates it bit-exactly from its recorded
-(seed, generator_id, n).
+stream index) through numpy's SeedSequence/PCG64, so the same sampler
+call with the same seed and n regenerates a SampleSet bit-exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ __all__ = [
     "verify_kanter_cm",
 ]
 
-GENERATOR_ID = "pcg64-seedseq-v1"
-
 # fixed stream indices, one per sampler
 _STREAM_GAMMA = 1
 _STREAM_STABLE = 2
@@ -58,11 +55,9 @@ _STREAM_T = 3
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Positive samples, with the seed and generator that regenerate them."""
+    """Positive, finite samples."""
 
     values: np.ndarray
-    seed: int
-    generator_id: str = GENERATOR_ID
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -86,7 +81,7 @@ def sample_gamma(t: float, n: int, seed: int) -> SampleSet:
     g = _rng(seed, _STREAM_GAMMA)
     vals = g.standard_gamma(t, size=n)
     vals[vals <= 0.0] = np.finfo(float).tiny  # shape < 1 can underflow to 0
-    return SampleSet(vals, seed=seed)
+    return SampleSet(vals)
 
 
 def _log_sin_term(theta: np.ndarray, a: float) -> np.ndarray:
@@ -130,7 +125,7 @@ def sample_positive_stable(alpha: float, n: int, seed: int) -> SampleSet:
         raise ValueError("need alpha in (0,1) and n >= 1")
     g = _rng(seed, _STREAM_STABLE)
     vals = _stable_from(g, alpha, n)
-    return SampleSet(vals, seed=seed)
+    return SampleSet(vals)
 
 
 def sample_T_alpha(alpha: float, n: int, seed: int) -> SampleSet:
@@ -144,7 +139,7 @@ def sample_T_alpha(alpha: float, n: int, seed: int) -> SampleSet:
     vals -= np.log(z2, out=z2)
     vals *= alpha
     np.exp(vals, out=vals)
-    return SampleSet(vals, seed=seed)
+    return SampleSet(vals)
 
 
 # --------------------------------------------------------------------------
@@ -190,15 +185,14 @@ def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(gap, out=gap).max(initial=0.0))
 
 
-_KS_COEFF = {0.05: 1.36, 0.01: 1.63}
+_KS_COEFF = 1.63  # the asymptotic Kolmogorov quantile at the 1% level
 
 
-def ks_threshold(n: int, level: float = 0.01, m: int | None = None) -> float:
-    """Asymptotic KS acceptance threshold; two-sample when m is given."""
-    coeff = _KS_COEFF[level]
+def ks_threshold(n: int, m: int | None = None) -> float:
+    """Asymptotic KS acceptance threshold at the 1% level; two-sample when m is given."""
     if m is None:
-        return coeff / math.sqrt(n)
-    return coeff * math.sqrt((n + m) / (n * m))
+        return _KS_COEFF / math.sqrt(n)
+    return _KS_COEFF * math.sqrt((n + m) / (n * m))
 
 
 @dataclass(frozen=True)

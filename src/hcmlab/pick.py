@@ -48,8 +48,8 @@ class HalfPlaneScan:
     n_per_level: int = 2000
 
     def __post_init__(self):
-        if not self.im_levels or any(v <= 0.0 for v in self.im_levels):
-            raise ValueError("im levels must be nonempty and strictly positive")
+        if not self.im_levels or not all(0.0 < v < math.inf for v in self.im_levels):  # NaN too
+            raise ValueError("im levels must be nonempty, finite and strictly positive")
         lo, hi = self.re_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("re_range must be a finite increasing pair")
@@ -173,23 +173,23 @@ def write_figure2_csv(path, table: np.ndarray):
     return path
 
 
-def stieltjes_probe(alpha: float, x_grid: ScanGrid | None = None) -> Verdict:
+def stieltjes_probe(alpha: float) -> Verdict:
     """Probe whether f_alpha = f_{alpha,1-alpha} can be a Stieltjes transform.
 
     The Stieltjes inversion density -(1/pi) Im f(-x + i0) is -(1/pi)
     ``branch_cut_kernel``, with the sign of cos(pi a) (1 - x^t).  FAIL means
     a negative value was found, i.e. f is certified NOT Stieltjes (the
-    expected outcome for alpha < 1/2); PASS means none on the grid,
-    consistent with the Stieltjes property (alpha = 1/2, where f = 1/(1+x)).
-    x = 1 is a pole (the point mass at alpha = 1/2): grid points where x^t
-    rounds to 1 are skipped.
+    expected outcome for alpha < 1/2); PASS means none on the grid of 400
+    geometric points on [1e-2, 1e2], consistent with the Stieltjes property
+    (alpha = 1/2, where f = 1/(1+x)).  x = 1, the pole (the point mass at
+    alpha = 1/2), is not on that grid: the nodes nearest to it are 0.9885
+    and 1.0116.
     """
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 1/2]")
-    x_grid, tol = x_grid or ScanGrid(1e-2, 1e2, 400), 1e-9
+    grid, tol = ScanGrid(1e-2, 1e2, 400), 1e-9
     p = FamilyParams(alpha, 1.0 - alpha)
-    xs = x_grid.points()
-    xs = xs[xs ** p.t != 1.0]
+    xs = grid.points()
     vals = -branch_cut_kernel(xs, p) / math.pi
     i = int(np.argmin(vals))
     x, v = float(xs[i]), float(vals[i])
@@ -197,4 +197,4 @@ def stieltjes_probe(alpha: float, x_grid: ScanGrid | None = None) -> Verdict:
         return Verdict(FAIL, tol, witness=(x, v), detail=(
             f"density -Im f(-x + i0)/pi = {v:.3e} < -{tol:.1e} at x = {x:.4g}; not Stieltjes"))
     return Verdict(PASS, tol, witness=(x, v), detail=(
-        f"min density {v:.3e} at x = {x:.4g} on {x_grid}, consistent with Stieltjes"))
+        f"min density {v:.3e} at x = {x:.4g} on {grid}, consistent with Stieltjes"))

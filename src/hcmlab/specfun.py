@@ -3,8 +3,8 @@
 Everything downstream (inversion, monotonicity checks, half-plane scans)
 is built on the quantities defined here: the quadratic kernel
 ``P(z) = z^2 + 2 cos(pi a) z + 1``, the two-parameter family
-``f(x) = 1 / P(x^t)``, the complex log-gamma and the modified Bessel
-function of the second kind.
+``f(x) = 1 / P(x^t)`` and the modified Bessel function of the second
+kind.
 
 All complex powers use the principal branch, arg in (-pi, pi], so the
 branch cut of every function in this module sits on the negative real
@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "FamilyParams",
-    "log_gamma",
     "bessel_k",
     "p_alpha",
     "f_family",
@@ -65,59 +64,6 @@ class FamilyParams:
     @property
     def cos_pi_alpha(self) -> float:
         return math.cos(math.pi * self.alpha)
-
-
-# --------------------------------------------------------------------------
-# log gamma: Lanczos approximation (g = 7, 9 terms), upward recurrence for
-# Re z < 1/2.  The recurrence log G(z) = log G(z+1) - Log z holds exactly for
-# the principal (analytically continued) branch on the cut plane, which
-# avoids the winding bookkeeping of the reflection formula.
-# --------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z) on the plane cut along (-inf, 0].
-
-    Relative accuracy is ~1e-14 for |z| <= 50 (tested against an
-    independent implementation).  Raises ValueError at the poles
-    z = 0, -1, -2, ...  Real z on the negative axis are treated as the
-    limit from the upper half-plane.
-
-    Parameters
-    ----------
-    z : complex or float
-        Argument; must not be a nonpositive integer.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise ValueError(f"log_gamma: pole at nonpositive integer {z.real}")
-    shift = 0
-    w = z
-    while w.real < 0.5:
-        shift += 1
-        w = z + shift
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (w + (i - 1))
-    base = w + (_LANCZOS_G - 0.5)
-    out = _HALF_LOG_2PI + (w - 0.5) * cmath.log(base) - base + cmath.log(s)
-    for k in range(shift):
-        out -= cmath.log(z + k)
-    return out
 
 
 # --------------------------------------------------------------------------

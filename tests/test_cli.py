@@ -101,7 +101,17 @@ class TestExitCodes:
         (["hcm-check", "--alpha", "0.2", "--t", "0.5", "--order", "0"], "order"),
         (["hcm-check", "--alpha", "0.2", "--t", "0.9", "--order", "0"], "order"),  # a pole FAIL
         (["pick-scan", "--alpha", "0.2", "--t", "0.5", "--n-per-level", "0"], "n_per_level"),
-    ], ids=["bisect-tol", "stable-laplace-n", "order", "order-past-poles", "n-per-level"])
+        # a negative tol would let a positive witness certify a FAIL
+        (["cm-check", "--alpha", "0.3", "--t", "0.65", "--tol", "-1"], "--tol"),
+        (["hcm-check", "--alpha", "0.2", "--t", "0.5", "--tol", "-1"], "--tol"),
+        (["pick-scan", "--alpha", "0.2", "--t", "0.5", "--tol", "-1"], "--tol"),
+        (["cm-check", "--alpha", "0.3", "--t", "0.65", "--tol", "nan"], "--tol"),
+        (["pick-scan", "--alpha", "0.3", "--t", "0.5", "--im-levels", "nan"], "im levels"),
+        (["cm-check", "--alpha", "0.3", "--t", "0.5", "--lambda-max", "inf"], "finite lo < hi"),
+        (["hcm-check", "--alpha", "0.2", "--t", "0.5", "--w-max", "inf"], "finite lo < hi"),
+    ], ids=["bisect-tol", "stable-laplace-n", "order", "order-past-poles", "n-per-level",
+            "cm-tol-negative", "hcm-tol-negative", "pick-tol-negative", "cm-tol-nan",
+            "im-levels-nan", "lambda-max-inf", "w-max-inf"])
     def test_out_of_range_option_is_usage(self, capsys, argv, quantity):
         code = main(argv)
         out, err = capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Every name that ``hcmlab`` exports has a program caller.
+"""Every name that ``hcmlab`` exports has a program caller, and every
+``__all__`` entry names something its module defines.
 
 A program caller is a module of the package, a demo, the benchmark in
 perfbench/ or the acceptance tests.  The unit tests alone do not keep a name
@@ -9,6 +10,7 @@ name or a string (the benchmark wraps its targets by name); a definition,
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,3 +52,11 @@ def test_every_export_has_a_program_caller():
     exports = _exports()
     assert ALLOWED.keys() <= exports
     assert not sorted(exports - refs - ALLOWED.keys())
+
+
+def test_every_all_entry_is_defined():
+    # a deleted name must leave no entry behind: ``from module import *`` would raise
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            module = importlib.import_module(f"hcmlab.{path.stem}")
+            assert not [n for n in module.__all__ if not hasattr(module, n)], path.name

@@ -448,9 +448,7 @@ class TestKernelTotalIntegral:
     @pytest.mark.parametrize("alpha,t", [(0.2, 0.7), (0.45, 0.53), (0.0, 0.7), (0.3, 0.69)])
     def test_is_the_lambda_zero_inversion(self, alpha, t):
         p = FamilyParams(alpha, t)
-        g, err = branch_cut_invert(0.0, p, return_err=True)
-        assert kernel_total_integral(p) == -math.pi * g
-        assert kernel_total_integral(p, return_err=True) == (-math.pi * g, math.pi * err)
+        assert kernel_total_integral(p) == -math.pi * branch_cut_invert(0.0, p)
 
 
 class TestStressRegimes:
@@ -490,9 +488,8 @@ class TestClosedFormT1:
 class TestInvertGrid:
     def test_round_trip_through_forward(self):
         p = FamilyParams.from_eps(0.3, 0.05)
-        spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
         for x in (0.5, 1.0, 2.0):
-            got = quad_checked(lambda lam: math.exp(-x * lam) * branch_cut_invert(lam, p, spec),
+            got = quad_checked(lambda lam: math.exp(-x * lam) * branch_cut_invert(lam, p),
                                0.0, np.inf, QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))[0]
             assert got == pytest.approx(f_family(x, p).real, abs=1e-5)
 
@@ -500,7 +497,6 @@ class TestInvertGrid:
         p = FamilyParams(0.3, 0.65)
         lams = np.geomspace(0.1, 5.0, 7)
         res = invert_grid(p, lams, method="bromwich")
-        assert res.method == "bromwich"
         assert res.values.shape == lams.shape
         assert res.est_error < 1e-8
 
@@ -534,4 +530,4 @@ class TestInvertGrid:
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
-            InversionResult(np.array([1.0, 0.5]), np.array([0.0, 0.0]), "bromwich", 0.0)
+            InversionResult(np.array([1.0, 0.5]), np.array([0.0, 0.0]), 0.0)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import kv, loggamma as scipy_loggamma
+from scipy.special import kv
 
 import hcmlab.specfun
 from hcmlab.specfun import (BESSEL_BLOCK, FamilyParams, bessel_k, f_family, f_family_prime,
-                            log_gamma, p_alpha, pole_locations)
+                            p_alpha, pole_locations)
 
 
 class TestFamilyParams:
@@ -38,37 +38,6 @@ class TestFamilyParams:
         with pytest.raises(ValueError, match="1/0"):
             FamilyParams(alpha, 0.0)
         assert FamilyParams(0.99999, 0.0).t == 0.0 and FamilyParams(alpha, 1e-3).t == 1e-3
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert abs(log_gamma(1.0)) < 1e-14
-
-    def test_at_half(self):
-        assert log_gamma(0.5).real == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-13)
-
-    def test_at_five(self):
-        assert log_gamma(5.0).real == pytest.approx(math.log(24.0), rel=1e-13)
-
-    def test_pole_raises(self):
-        for z in (0.0, -1.0, -7.0):
-            with pytest.raises(ValueError):
-                log_gamma(z)
-
-    def test_against_reference_on_disk(self):
-        rng = np.random.default_rng(7)
-        zs = rng.uniform(-50, 50, 120) + 1j * rng.uniform(-50, 50, 120)
-        zs = zs[np.abs(zs.imag) > 1e-8][:100]
-        for z in zs:
-            ref = scipy_loggamma(z)
-            assert abs(log_gamma(z) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_recurrence_100_points(self):
-        rng = np.random.default_rng(11)
-        zs = rng.uniform(-20, 20, 100) + 1j * rng.uniform(0.05, 20, 100)
-        for z in zs:
-            lhs = np.exp(log_gamma(z + 1.0) - log_gamma(z))
-            assert abs(lhs - z) <= 1e-11 * abs(z)
 
 
 class TestBesselK:
